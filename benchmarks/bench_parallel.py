@@ -21,6 +21,13 @@ The smoke mode asserts only *correctness-adjacent* properties (identical
 assignments, fallback accounting); the >= 1.5x speedup bar lives in
 ``bench_scalability.py`` where the E6 baselines are, and only on hosts
 with >= 4 cores.
+
+The pool is the E6 one with a per-machine ``Disk`` bound added to every
+request (``build_requests(min_disk=...)``): since PR 14 the serial
+scorer evaluates a class once per distinct provider *view*, the tier
+engages only where those are many, and a pool whose providers all look
+alike to a request is one it now declines at any size — which the
+threshold anatomy's last row asserts.
 """
 
 import argparse
@@ -34,7 +41,7 @@ if __name__ == "__main__":
         sys.path.insert(0, os.path.abspath(_src))
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from bench_scalability import build_pool, build_requests
+from bench_scalability import MIN_DISK, build_pool, build_requests
 
 from repro.matchmaking import CycleStats, batching_enabled, negotiation_cycle, set_batching
 from repro.matchmaking import parallel as par
@@ -63,7 +70,9 @@ def worker_sweep(n_machines, n_requests, repeats, worker_counts):
     """
     rng = RngStream(n_machines, "sweep")
     providers = build_pool(n_machines, rng.fork("machines"))
-    requests = build_requests(n_requests, rng.fork("jobs"), distinct=12)
+    requests = build_requests(
+        n_requests, rng.fork("jobs"), distinct=12, min_disk=MIN_DISK
+    )
     batching_before = batching_enabled()
     workers_before = par.scoring_workers()
     threshold_before = par.pair_threshold()
@@ -130,10 +139,15 @@ def worker_sweep(n_machines, n_requests, repeats, worker_counts):
 
 def threshold_anatomy(n_machines, n_requests, workers=2):
     """Fallback accounting at three threshold positions: never fan out,
-    always fan out, and the shipped default."""
+    always fan out, and the shipped default — and, at the default, on
+    the same pool with the ``Disk`` bound dropped, where every class
+    sees a few dozen distinct provider views whatever the pool size."""
     rng = RngStream(n_machines, "threshold")
     providers = build_pool(n_machines, rng.fork("machines"))
-    requests = build_requests(n_requests, rng.fork("jobs"), distinct=12)
+    requests = build_requests(
+        n_requests, rng.fork("jobs"), distinct=12, min_disk=MIN_DISK
+    )
+    regular = build_requests(n_requests, rng.fork("jobs"), distinct=12)
     batching_before = batching_enabled()
     workers_before = par.scoring_workers()
     threshold_before = par.pair_threshold()
@@ -141,13 +155,14 @@ def threshold_anatomy(n_machines, n_requests, workers=2):
     try:
         set_batching(True)
         par.set_scoring_workers(workers)
-        for label, threshold in (
-            ("always", 0),
-            ("default", par.DEFAULT_PAIR_THRESHOLD),
-            ("never", 10 * n_machines + 1),
+        for label, threshold, queue in (
+            ("always", 0, requests),
+            ("default", par.DEFAULT_PAIR_THRESHOLD, requests),
+            ("never", 10 * n_machines + 1, requests),
+            ("regular", par.DEFAULT_PAIR_THRESHOLD, regular),
         ):
             par.set_pair_threshold(threshold)
-            _, _, stats = _timed_cycle(requests, providers, True)
+            _, _, stats = _timed_cycle(queue, providers, True)
             out[label] = {
                 "threshold": threshold,
                 "pairs_scored": stats.parallel_pairs_scored,
@@ -177,11 +192,17 @@ def run_smoke(out_dir=None, machines=1500, requests=100, repeats=3):
     assert anatomy["never"]["fallbacks"] > 0
     assert anatomy["always"]["pairs_scored"] > 0
     assert anatomy["always"]["fallbacks"] == 0
+    # The bar counts the serial scorer's evaluations, not pairs: the
+    # value-regular queue never clears it, at this or any pool size.
+    assert anatomy["regular"]["pairs_scored"] == 0
+    assert anatomy["regular"]["fallbacks"] > 0
+    if machines >= par.DEFAULT_PAIR_THRESHOLD:
+        assert anatomy["default"]["pairs_scored"] > 0
 
     report = table(HEADERS, rows) + (
         "\n\nthreshold anatomy (workers=2):\n"
         + "\n".join(
-            f"  {label:8s} (>= {info['threshold']:>6d} pairs):"
+            f"  {label:8s} (>= {info['threshold']:>6d} evaluations):"
             f" {info['pairs_scored']:>7d} pairs in workers,"
             f" {info['fallbacks']:>3d} serial fallbacks"
             for label, info in anatomy.items()

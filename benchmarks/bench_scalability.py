@@ -48,6 +48,10 @@ from _report import rows_to_dicts, table, write_bench_json, write_report
 ARCHS = ["INTEL", "SPARC", "ALPHA"]
 OPSYSES = ["SOLARIS251", "LINUX", "OSF1"]
 MEMORIES = [32, 64, 128, 256]
+#: ``build_requests(min_disk=...)`` for the worker-tier measurements:
+#: under every machine's ``Disk``, so the bound changes what a Constraint
+#: reads of a provider, not which providers pass it.
+MIN_DISK = 40_000
 
 
 def build_pool(n, rng):
@@ -72,13 +76,19 @@ def build_pool(n, rng):
     return ads
 
 
-def build_requests(n, rng, distinct=None):
+def build_requests(n, rng, distinct=None, min_disk=None):
     """Queued job ads for 4 submitters.
 
     *distinct* bounds the number of distinct (Memory, ReqArch, ReqOpSys)
     combinations — the paper's Section 5 regularity: a real queue is
     thousands of jobs carrying a handful of Requirements variants.  None
     keeps the unconstrained draw used by the scaling series.
+
+    *min_disk* adds ``other.Disk >= self.DiskNeeded`` to every
+    Constraint.  ``Disk`` is drawn per machine, so no two providers then
+    look alike to a request: the pool keeps its request regularity but
+    loses its *value* regularity (what the serial scorer's view memo
+    feeds on, and the only kind of pool the worker tier engages on).
     """
     combos = None
     if distinct is not None:
@@ -106,11 +116,14 @@ def build_requests(n, rng, distinct=None):
                     "ContactAddress": f"schedd@user{s}",
                 }
             )
-            ad.set_expr(
-                "Constraint",
+            constraint = (
                 'other.Type == "Machine" && other.Arch == self.ReqArch '
-                "&& other.OpSys == self.ReqOpSys && other.Memory >= self.Memory",
+                "&& other.OpSys == self.ReqOpSys && other.Memory >= self.Memory"
             )
+            if min_disk is not None:
+                ad["DiskNeeded"] = min_disk
+                constraint += " && other.Disk >= self.DiskNeeded"
+            ad.set_expr("Constraint", constraint)
             ad.set_expr("Rank", "other.KFlops / 1E3")
             jobs.append(ad)
         requests[f"user{s}"] = jobs
@@ -389,13 +402,21 @@ def _measure_parallel_speedup(n_machines, n_requests, repeats, workers=4):
 
     The workload is the one the parallel tier targets: a big unindexed
     pool (every class scores every provider) with the regular request
-    mix, so per-class pair counts sit far above the fallback threshold.
-    Serial and parallel runs are interleaved per repeat and must produce
-    identical assignments.  Returns (best, speedup).
+    mix, each request also bounding the per-machine ``Disk`` — so no two
+    providers look alike to a class, the serial scorer has one
+    evaluation to make per pair, and per-class counts sit far above the
+    fallback threshold.  (Without the bound a class sees a few dozen
+    distinct provider views, the serial scorer settles it in as many
+    evaluations, and the tier declines: ``bench_parallel.py`` asserts
+    that.)  Serial and parallel runs are interleaved per repeat, must
+    produce identical assignments, and every class must have fanned
+    out.  Returns (best, speedup).
     """
     rng = RngStream(n_machines, "parallel")
     providers = build_pool(n_machines, rng.fork("machines"))
-    requests = build_requests(n_requests, rng.fork("jobs"), distinct=12)
+    requests = build_requests(
+        n_requests, rng.fork("jobs"), distinct=12, min_disk=MIN_DISK
+    )
     batching_before = batching_enabled()
     workers_before = par.scoring_workers()
     best = {"serial": float("inf"), "parallel": float("inf")}
@@ -411,12 +432,19 @@ def _measure_parallel_speedup(n_machines, n_requests, repeats, workers=4):
             serial = negotiation_cycle(requests, providers, parallel=False)
             best["serial"] = min(best["serial"], time.perf_counter() - start)
 
+            stats = CycleStats()
             start = time.perf_counter()
-            parallel = negotiation_cycle(requests, providers, parallel=True)
+            parallel = negotiation_cycle(
+                requests, providers, parallel=True, stats=stats
+            )
             best["parallel"] = min(best["parallel"], time.perf_counter() - start)
             assert [
                 (a.submitter, a.provider.evaluate("Name")) for a in serial
             ] == [(a.submitter, a.provider.evaluate("Name")) for a in parallel]
+            assert stats.parallel_pairs_scored > 0 and not stats.parallel_fallbacks, (
+                "the parallel cycle did not fan out: the ratio would compare"
+                " the serial scorer with itself"
+            )
     finally:
         set_batching(batching_before)
         par.set_scoring_workers(workers_before)
@@ -431,11 +459,15 @@ def _measure_parallel_fallback_overhead(n_machines, n_requests, repeats):
     cycle with parallelism disabled outright (min paired ratio, as in
     :func:`_measure_overhead`):
 
-    * workers configured, every class below the pair threshold;
+    * workers configured, every class below the threshold on pair count
+      alone;
+    * workers configured, every class above it on pair count but below
+      it on distinct provider views — the value-regular pool, which pays
+      one pass over the views the serial scorer needs anyway;
     * the ``REPRO_NO_PARALLEL`` kill-switch.
 
-    Both must stay within the 5% bar: small pools pay nothing for the
-    parallel plumbing they don't use.
+    All must stay within the 5% bar: pools the tier declines pay nothing
+    for the parallel plumbing they don't use.
     """
     rng = RngStream(n_machines, "fallback")
     providers = build_pool(n_machines, rng.fork("machines"))
@@ -443,7 +475,10 @@ def _measure_parallel_fallback_overhead(n_machines, n_requests, repeats):
     batching_before = batching_enabled()
     workers_before = par.scoring_workers()
     threshold_before = par.pair_threshold()
-    ratios = {"threshold": float("inf"), "killswitch": float("inf")}
+    ratios = {"threshold": float("inf"), "regular": float("inf"),
+              "killswitch": float("inf")}
+    # 3 archs x 3 opsyses x 4 memories: at most 36 views of this pool.
+    views_bar = max(64, n_machines // 4)
     try:
         set_batching(True)
         par.set_scoring_workers(2)
@@ -458,6 +493,17 @@ def _measure_parallel_fallback_overhead(n_machines, n_requests, repeats):
             negotiation_cycle(requests, providers, parallel=True)
             elapsed = time.perf_counter() - start
             ratios["threshold"] = min(ratios["threshold"], elapsed / off_elapsed)
+
+            par.set_pair_threshold(views_bar)
+            stats = CycleStats()
+            start = time.perf_counter()
+            negotiation_cycle(requests, providers, parallel=True, stats=stats)
+            elapsed = time.perf_counter() - start
+            par.set_pair_threshold(10 * n_machines)
+            ratios["regular"] = min(ratios["regular"], elapsed / off_elapsed)
+            assert stats.parallel_pairs_scored == 0, (
+                "a value-regular pool fanned out to the workers"
+            )
 
             par.set_parallelism(False)
             start = time.perf_counter()

@@ -37,7 +37,7 @@ import time
 
 sys.path.insert(0, "benchmarks")
 
-from bench_scalability import build_pool, build_requests, run_cycle  # noqa: E402
+from bench_scalability import MIN_DISK, build_pool, build_requests, run_cycle  # noqa: E402
 
 from repro.matchmaking import parallel as par  # noqa: E402
 from repro.sim import RngStream  # noqa: E402
@@ -56,14 +56,19 @@ def main() -> None:
         help="force the kill-switch even when --workers is set",
     )
     parser.add_argument(
-        "--threshold", type=int, default=None, metavar="PAIRS",
-        help="override the serial-fallback pair threshold",
+        "--threshold", type=int, default=None, metavar="N",
+        help="override the serial-fallback threshold (distinct provider views per class)",
     )
     args = parser.parse_args()
 
     rng = RngStream(1, "profile")
     providers = build_pool(args.size, rng.fork("machines"))
-    requests = build_requests(100, rng.fork("jobs"))
+    # The tier fans a class out only when its providers show the request
+    # many distinct views, so profiling it takes a pool with a
+    # per-machine bound; without --workers, the plain regular pool.
+    requests = build_requests(
+        100, rng.fork("jobs"), min_disk=MIN_DISK if args.workers else None
+    )
 
     if args.workers:
         par.set_scoring_workers(args.workers)
@@ -110,7 +115,7 @@ def main() -> None:
             f"  engaged: {stats.parallel_chunks} chunks,"
             f" {stats.parallel_pairs_scored} pairs scored,"
             f" {stats.parallel_fallbacks} serial fallbacks"
-            f" (threshold {par.pair_threshold()} pairs)"
+            f" (threshold {par.pair_threshold()} distinct provider views)"
         )
     report = pstats.Stats(profiler)
     report.sort_stats("cumulative")

@@ -47,6 +47,22 @@ def _value_to_expr(value: Any) -> Expr:
     raise TypeError(f"cannot convert {type(value).__name__} to a classad expression")
 
 
+# The compiled evaluator and the parser import this module, so their entry
+# points are bound here on first use; after that ``evaluate``/``eval_expr``
+# pay a global lookup per call instead of a trip through the import system.
+_evaluate_attribute = None
+_evaluate = None
+_parse = None
+
+
+def _bind_compiled() -> None:
+    global _evaluate_attribute, _evaluate, _parse
+    from .compile import evaluate, evaluate_attribute
+    from .parser import parse
+
+    _evaluate_attribute, _evaluate, _parse = evaluate_attribute, evaluate, parse
+
+
 class ClassAd:
     """An ordered, case-insensitive mapping from attribute names to expressions.
 
@@ -64,7 +80,7 @@ class ClassAd:
     * Insertion order is preserved for faithful unparsing.
     """
 
-    __slots__ = ("_fields", "_names", "_ccache", "_fpcache")
+    __slots__ = ("_fields", "_names", "_ccache", "_fpcache", "_derived")
 
     def __init__(self, fields: Union[None, Mapping, Iterable[Tuple[str, Any]]] = None):
         # _fields maps canonical (lowercase) name -> Expr;
@@ -75,10 +91,16 @@ class ClassAd:
         # _fpcache is owned by repro.classads.fingerprint: serialized
         # per-attribute payloads, content fingerprints, and the wire-size
         # estimate, all dropped wholesale on any mutation.
+        # _derived is owned by repro.matchmaking.matchmaker: facts read
+        # off this ad's expressions (reference closures, the request
+        # signature), one entry per kind of fact, each validated against
+        # the bindings it consulted — never dropped here, so the in-place
+        # volatile-attribute updates of a refresh leave it standing.
         self._fields: Dict[str, Expr] = {}
         self._names: Dict[str, str] = {}
         self._ccache: Optional[dict] = None
         self._fpcache: Optional[dict] = None
+        self._derived: Optional[tuple] = None
         if fields is not None:
             items = fields.items() if isinstance(fields, Mapping) else fields
             for name, value in items:
@@ -136,6 +158,14 @@ class ClassAd:
         """The expression bound to *name*, or None if absent."""
         return self._fields.get(name.lower())
 
+    def bindings(self) -> Mapping[str, Expr]:
+        """The live canonical-name -> expression mapping, not a copy: for
+        callers that read many attributes of one ad (the matchmaker's
+        view keys and memo validation).  Read-only by contract — writes
+        must go through the mapping protocol, which maintains the caches.
+        """
+        return self._fields
+
     def set_expr(self, name: str, source: str) -> None:
         """Bind *name* to the expression parsed from *source*."""
         from .parser import parse
@@ -164,21 +194,20 @@ class ClassAd:
         the tree-walking interpreter as fallback and kill-switch
         (``REPRO_NO_COMPILE=1``).
         """
-        from .compile import evaluate_attribute
-
-        return evaluate_attribute(self, name, other=other, **kwargs)
+        if _evaluate_attribute is None:
+            _bind_compiled()
+        return _evaluate_attribute(self, name, other=other, **kwargs)
 
     def eval_expr(self, source_or_expr, other: Optional["ClassAd"] = None, **kwargs):
         """Evaluate an expression (source text or Expr) against this ad."""
-        from .compile import evaluate
-        from .parser import parse
-
+        if _evaluate is None:
+            _bind_compiled()
         expr = (
-            parse(source_or_expr)
+            _parse(source_or_expr)
             if isinstance(source_or_expr, str)
             else source_or_expr
         )
-        return evaluate(expr, self, other=other, **kwargs)
+        return _evaluate(expr, self, other=other, **kwargs)
 
     # -- conversion ------------------------------------------------------
 

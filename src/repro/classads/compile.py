@@ -63,6 +63,7 @@ from .ast import (
     Select,
     Subscript,
     UnaryOp,
+    walk,
 )
 from .classad import ClassAd
 from .evaluator import (
@@ -277,8 +278,6 @@ def _compiled_for(ad: ClassAd, name: str, expr: Expr) -> Optional[_Compiled]:
 def _type_sig(expr: Expr) -> tuple:
     """Everything structural equality ignores but compiled code preserves:
     literal value types (int/float/bool/...) and record field spellings."""
-    from .ast import walk
-
     sig = []
     for node in walk(expr):
         t = type(node)

@@ -32,6 +32,15 @@ member from the per-class dispositions.  ``REPRO_NO_BATCH=1`` or
 :func:`set_batching` falls back to the naive reference path, mirroring
 PR 3's ``REPRO_NO_COMPILE`` switch.
 
+Since PR 14 the batched engine's serial scorer also exploits Section 5's
+*value* regularity, in both directions: an expression can tell two ads
+apart only through the attributes it can read, so a class
+representative's Constraint is evaluated once per distinct *view* the
+providers show it (see :func:`_view_key`), and each provider's
+Constraint and Rank once per cycle per distinct view requests show the
+pool.  The per-pair loop, its check order and its outcomes are
+unchanged; only repeated evaluations are served from the first.
+
 Since PR 7 the batched engine's per-class candidate construction can
 additionally fan out to a persistent pool of scoring worker *processes*
 (:mod:`.parallel`): constraint checks and bilateral rank evaluations for
@@ -39,8 +48,9 @@ each ``(class, provider)`` pair run on every core, results are merged in
 deterministic provider order, and assignment/preemption/fair-share
 commit stays serial and unchanged — so parallel cycles are bit-for-bit
 identical to serial ones.  ``REPRO_SCORING_WORKERS=<n>`` opts in,
-``REPRO_NO_PARALLEL=1`` kills it, and small classes fall back to the
-serial scorer automatically (IPC overhead dominates tiny pools).
+``REPRO_NO_PARALLEL=1`` kills it, and classes the serial scorer settles
+in few evaluations — small pools, and value-regular pools of any size —
+stay with it automatically (IPC overhead dominates small jobs).
 """
 
 from __future__ import annotations
@@ -65,6 +75,7 @@ from .match import (
     MatchPolicy,
     availability_of,
     best_match,
+    constraint_holds,
     constraints_satisfied,
     current_owner_of,
     current_rank_of,
@@ -91,6 +102,10 @@ _MM_PRUNED = _metrics.counter(
 )
 _MM_CLASSES = _metrics.counter(
     "matchmaker.request_classes", "request equivalence classes built per cycle"
+)
+_MM_VIEW_SAVED = _metrics.counter(
+    "matchmaker.view_evals_saved",
+    "Constraint/Rank evaluations served from another ad's identical view",
 )
 _MM_CYCLE_SECONDS = _metrics.histogram(
     "matchmaker.cycle_seconds", "wall-clock duration of one negotiation cycle"
@@ -182,6 +197,15 @@ class CycleStats:
     parallel_chunks: int = 0  # worker chunks engaged by class builds
     parallel_pairs_scored: int = 0  # pairs evaluated in worker processes
     parallel_fallbacks: int = 0  # class builds scored serially despite config
+    # View memo (serial scorer): evaluations a class build did not make
+    # because an ad showing the expression the same view was already
+    # evaluated — the representative's Constraint across providers, and
+    # providers' Constraint/Rank across request classes — and those it
+    # made per pair because the view was opaque (an observed attribute
+    # bound to an expression).
+    view_request_evals_saved: int = 0
+    view_provider_evals_saved: int = 0
+    view_opaque_evals: int = 0
 
 
 # Backwards-compatible aliases: these classification helpers moved to
@@ -224,49 +248,176 @@ def _expr_refs(expr: Expr) -> frozenset:
     return refs
 
 
-def _provider_observed_attrs(provider: ClassAd, policy: MatchPolicy) -> Set[str]:
-    """Request attributes this provider's Constraint/Rank can read.
+#: Values many ads derive alike (a pool's providers share a handful of
+#: policies, a queue's requests a handful of signatures) are stored once.
+#: Sharing is only an economy, so overflowing just starts over.
+_SHARED: Dict[object, object] = {}
+_SHARED_LIMIT = 256
 
-    Transitive: a Constraint referencing the provider's own ``MyPolicy``
-    attribute observes whatever *that* expression reads.  ``other.X``
-    always reads the request; a bare ``X`` only falls through to the
-    request when the provider does not define it.
+
+def _shared(value):
+    if len(_SHARED) >= _SHARED_LIMIT:
+        _SHARED.clear()
+    return _SHARED.setdefault(value, value)
+
+
+#: In a memo entry's bindings: "some literal, whichever" — the fact was
+#: read off the name being bound to a literal, not off the literal's value.
+_ANY_LITERAL = object()
+
+
+def _derived(ad: ClassAd, compute, args):
+    """``compute(ad, args)`` memoized on *ad*, one entry per *compute*.
+
+    *compute* returns ``(value, names, bindings)``: every canonical name
+    of *ad* the value was read off, and what each was bound to.  The
+    entry is served while each of those names is still bound to the very
+    same expression object (``None`` for absent) — or, where *compute*
+    recorded :data:`_ANY_LITERAL`, to any :class:`Literal`.  Ads
+    live in the collector across cycles and a refresh rebinds only
+    their volatile literals in place, so steady-state cycles pay this
+    check instead of the walk.  An entry is a few words (values and
+    names are shared between ads) and a newer one for the same *compute*
+    replaces it: the memo lives and dies with the ad it describes.
     """
+    entries = ad._derived or ()
+    for entry in entries:
+        if entry[0] is compute:
+            if entry[1] == args:
+                fields = ad.bindings()
+                for name, bound in zip(entry[3], entry[4]):
+                    current = fields.get(name)
+                    if current is bound:
+                        continue
+                    if bound is not _ANY_LITERAL or type(current) is not Literal:
+                        break
+                else:
+                    return entry[2]
+            entries = tuple(e for e in entries if e is not entry)
+            break
+    value, names, bindings = compute(ad, args)
+    value = _shared(value)
+    ad._derived = entries + ((compute, args, value, _shared(tuple(names)), tuple(bindings)),)
+    return value
+
+
+def _walk_observed(ad: ClassAd, roots: Tuple[str, ...]):
     observed: Set[str] = set()
-    seen: Set[str] = set()
-    stack: List[Expr] = []
-    cname = policy.constraint_of(provider)
-    if cname is not None:
-        stack.append(provider.lookup(cname))
-    rank_expr = provider.lookup(policy.rank_attr)
-    if rank_expr is not None:
-        stack.append(rank_expr)
+    consulted: Dict[str, object] = {}  # canonical name -> binding relied on
+    stack: List[str] = list(roots)
+    fields = ad.bindings()
     while stack:
-        expr = stack.pop()
-        for scope, name in _expr_refs(expr):
+        name = stack.pop()
+        if name in consulted:
+            continue
+        expr = fields.get(name)
+        if type(expr) is Literal:
+            consulted[name] = _ANY_LITERAL  # reads nothing, whatever its value
+            continue
+        consulted[name] = expr
+        if expr is None:
+            continue
+        for scope, ref in _expr_refs(expr):
             if scope == "other":
-                observed.add(name)
-            elif scope == "self" or name in provider:
-                if name not in seen:
-                    seen.add(name)
-                    sub = provider.lookup(name)
-                    if sub is not None:
-                        stack.append(sub)
+                observed.add(ref)
+            elif scope == "self" or ref in fields:
+                stack.append(ref)
             else:
-                observed.add(name)
-    return observed
+                # Bare and undefined here, so it falls through to the
+                # other ad — until this ad defines it.
+                observed.add(ref)
+                consulted[ref] = None
+    return tuple(sorted(observed)), consulted.keys(), consulted.values()
 
 
-def _pool_observed_attrs(providers: Sequence[ClassAd], policy: MatchPolicy) -> Set[str]:
-    """Union of request attributes any provider in the pool can read."""
+def _observed_attrs(ad: ClassAd, roots: Tuple[str, ...]) -> Tuple[str, ...]:
+    """Attributes of the *other* ad that *ad*'s *roots* can read, sorted.
+
+    *roots* are canonical names of attributes of *ad* — a provider's
+    Constraint and Rank, a request's Constraint.  Transitive: a
+    Constraint referencing the ad's own ``MyPolicy`` attribute observes
+    whatever *that* expression reads.  ``other.X`` always reads the other
+    ad; a bare ``X`` only falls through to it when *ad* does not define
+    ``X`` itself.
+    """
+    return _derived(ad, _walk_observed, roots)
+
+
+def _constraint_root(ad: ClassAd, policy: MatchPolicy) -> Tuple[str, ...]:
+    """The canonical name of *ad*'s Constraint attribute, if it has one."""
+    cname = policy.constraint_of(ad)
+    return () if cname is None else (cname.lower(),)
+
+
+def _pool_observed_attrs(providers: Sequence[ClassAd], policy: MatchPolicy) -> Tuple[str, ...]:
+    """Request attributes any provider's Constraint/Rank can read, sorted."""
     observed: Set[str] = set()
+    rank_root = (policy.rank_attr.lower(),)
     for provider in providers:
-        observed |= _provider_observed_attrs(provider, policy)
-    return observed
+        observed.update(_observed_attrs(provider, _constraint_root(provider, policy) + rank_root))
+    return tuple(sorted(observed))
+
+
+def _view_key(ad: ClassAd, names: Tuple[str, ...]):
+    """What an expression that can read only *names* of *ad* sees of it.
+
+    The ``(type, value)`` of each literal binding (``None`` for absent
+    names): two ads with equal keys are indistinguishable to such an
+    expression, so one evaluation serves both.  The type is part of the
+    key because ``64 == 64.0 == true`` in Python while ``is`` and
+    ``isInteger`` tell them apart (the reason ``structural_key`` carries
+    a type signature); the sign of a zero is, because ``string()`` shows
+    it.  A name bound to anything but a literal would be evaluated in
+    *ad*'s own environment, where it can read arbitrarily more: the view
+    is then *opaque*, keyed by the ad's identity and shared with nothing.
+    """
+    fields = ad.bindings()
+    key = []
+    for name in names:
+        bound = fields.get(name)
+        if bound is None:
+            key.append(None)
+        elif type(bound) is Literal:
+            value = bound.value
+            kind = type(value)
+            if kind is float and value == 0.0:
+                value = repr(value)
+            key.append((kind, value))
+        else:
+            return id(ad)
+    return tuple(key)
+
+
+def _compute_signature(request: ClassAd, args):
+    policy, observed = args
+    cname = policy.constraint_of(request)
+    visited: Dict[str, Optional[Tuple]] = {}
+    # Which alias names the Constraint is part of the signature.
+    consulted: Dict[str, object] = {
+        alias.lower(): request.lookup(alias) for alias in policy.constraint_attrs
+    }
+    stack: List[str] = [policy.rank_attr.lower()]
+    if cname is not None:
+        stack.append(cname.lower())
+    stack.extend(observed)
+    while stack:
+        name = stack.pop()
+        if name in visited:
+            continue
+        expr = consulted[name] = request.lookup(name)
+        if expr is None:
+            visited[name] = None
+            continue
+        visited[name] = structural_key(expr)
+        for scope, ref in _expr_refs(expr):
+            if scope != "other":
+                stack.append(ref)
+    signature = (None if cname is None else cname.lower(), frozenset(visited.items()))
+    return signature, consulted.keys(), consulted.values()
 
 
 def _request_signature(
-    request: ClassAd, policy: MatchPolicy, observed: Set[str]
+    request: ClassAd, policy: MatchPolicy, observed: Tuple[str, ...]
 ) -> Tuple:
     """The equivalence-class key for *request* against this cycle's pool.
 
@@ -278,25 +429,7 @@ def _request_signature(
     and provider-side evaluations against every provider, hence
     identical candidate lists.
     """
-    cname = policy.constraint_of(request)
-    visited: Dict[str, Optional[Tuple]] = {}
-    stack: List[str] = [policy.rank_attr.lower()]
-    if cname is not None:
-        stack.append(cname.lower())
-    stack.extend(observed)
-    while stack:
-        name = stack.pop()
-        if name in visited:
-            continue
-        expr = request.lookup(name)
-        if expr is None:
-            visited[name] = None
-            continue
-        visited[name] = structural_key(expr)
-        for scope, ref in _expr_refs(expr):
-            if scope != "other":
-                stack.append(ref)
-    return (None if cname is None else cname.lower(), frozenset(visited.items()))
+    return _derived(request, _compute_signature, (policy, observed))
 
 
 class _ClassState:
@@ -357,9 +490,10 @@ def negotiation_cycle(
     ``parallel`` likewise overrides the parallel-scoring switch (None
     follows :func:`.parallel.parallelism_enabled`); it engages only on
     the batched path, only when ``REPRO_SCORING_WORKERS`` configures a
-    worker pool, and only for classes whose candidate pool clears the
-    pair-count threshold — everything else scores serially, and the
-    results are identical either way.
+    worker pool, and only for classes whose candidate pool shows the
+    representative's Constraint enough distinct views to clear the
+    threshold — everything else scores serially, and the results are
+    identical either way.
 
     The cycle only *identifies* matches; claiming is the parties' own
     business (separation of matching and claiming).
@@ -374,6 +508,7 @@ def negotiation_cycle(
     base_pruned = stats.constraint_evaluations_saved
     base_classes = stats.request_classes
     base_pairings = stats.pairings_saved
+    base_view_saved = stats.view_request_evals_saved + stats.view_provider_evals_saved
     use_batch = _BATCH_ENABLED if batch is None else bool(batch)
     # Parallel scoring rides on the batched engine only: the naive path
     # is the semantic reference and stays single-core by construction.
@@ -584,9 +719,38 @@ def negotiation_cycle(
 
     # -- batched path ------------------------------------------------------
 
-    observed_attrs: Optional[Set[str]] = None
+    observed_attrs: Optional[Tuple[str, ...]] = None
     classes: Dict[Tuple, _ClassState] = {}
-    signatures: Dict[int, Tuple] = {}  # id(request) -> signature, this cycle
+
+    # View memo (Section 5's *value* regularity): an expression sees of
+    # the other ad only the attributes it can read, so one evaluation
+    # serves every ad showing it the same view (see _view_key).  Both
+    # tables hold for the cycle, like the provider memo above.
+    #: attribute names read -> {id(provider): its view under those names}
+    provider_views: Dict[Tuple[str, ...], Dict[int, object]] = {}
+    #: request view under the pool-observed names -> ({id(provider): its
+    #: Constraint's verdict}, {id(provider): its Rank}) for such requests
+    provider_verdicts: Dict[object, Tuple[Dict[int, bool], Dict[int, float]]] = {}
+
+    #: attribute names read -> distinct views among all of ``providers``
+    pool_view_counts: Dict[Tuple[str, ...], int] = {}
+
+    def _distinct_views(pool: Sequence[ClassAd], reads: Tuple[str, ...], views) -> int:
+        """How many different views *pool* shows an expression reading
+        *reads*, filling *views* (the serial scorer wants them anyway)."""
+        whole = pool is providers
+        if whole and reads in pool_view_counts:
+            return pool_view_counts[reads]
+        distinct = set()
+        for provider in pool:
+            key = id(provider)
+            view = views.get(key)
+            if view is None:
+                view = views[key] = _view_key(provider, reads)
+            distinct.add(view)
+        if whole:
+            pool_view_counts[reads] = len(distinct)
+        return len(distinct)
 
     def _build_class(rep: ClassAd) -> _ClassState:
         """Evaluate every (class, provider) pairing once, exactly in the
@@ -594,9 +758,15 @@ def negotiation_cycle(
 
         With a scoring pool attached, the per-pair evaluations fan out
         to worker processes and come back as outcome tuples in candidate
-        order; the serial loop below is both the fallback (small
-        classes, kill-switch, worker failure) and the semantic
-        reference — outcome tuples are interchangeable between the two.
+        order; the serial loop below is both the fallback (classes it
+        scores in few evaluations, kill-switch, worker failure) and the
+        semantic reference — outcome tuples are interchangeable between
+        the two.
+
+        The serial loop walks every pairing but evaluates per *view*:
+        the representative's Constraint once per distinct view the
+        class's providers show it, each provider's Constraint and Rank
+        once per cycle per distinct view requests show the pool.
         """
         if index is not None:
             pool = index.candidates_for(rep, policy)
@@ -606,8 +776,19 @@ def negotiation_cycle(
         dispositions: Optional[List[Optional[Tuple]]] = (
             [None] * len(pool) if emit_events else None
         )
+        reads = _observed_attrs(rep, _constraint_root(rep, policy))
+        views = provider_views.setdefault(reads, {})
         if scoring is not None:
-            outcomes = scoring.score_class(rep, pool, policy, allow_preemption)
+            # What fanning out would save is the serial loop below, which
+            # evaluates rep's Constraint once per distinct provider view,
+            # not once per pair: that count (the pair count when no two
+            # providers look alike) is what must clear the threshold.
+            # Provider-side evaluations are left out: they are per cycle,
+            # shared by every class showing the pool the same view.
+            evaluations = len(pool)
+            if evaluations >= scoring.threshold:
+                evaluations = _distinct_views(pool, reads, views)
+            outcomes = scoring.score_class(rep, pool, policy, allow_preemption, evaluations)
             if outcomes is not None:
                 for pid, outcome in enumerate(outcomes):
                     if outcome[0] == "ok":
@@ -619,6 +800,11 @@ def negotiation_cycle(
                         dispositions[pid] = outcome
                 cands.sort(reverse=True)
                 return _ClassState(pool, cands, dispositions)
+        rep_accepts: Dict[object, bool] = {}  # provider view -> rep's Constraint holds
+        rep_view = _view_key(rep, observed_attrs)
+        rep_opaque = type(rep_view) is int
+        accepts_rep, ranks_rep = provider_verdicts.setdefault(rep_view, ({}, {}))
+        request_saved = provider_saved = opaque = 0
         for pid, provider in enumerate(pool):
             availability, owner, current = _provider_state(provider)
             if availability == "unavailable":
@@ -632,11 +818,34 @@ def negotiation_cycle(
                         dispositions[pid] = ("preemption-disabled",)
                     continue
                 preempts = owner
-            if not constraints_satisfied(rep, provider, policy):
+            key = id(provider)
+            view = views.get(key)
+            if view is None:
+                view = views[key] = _view_key(provider, reads)
+            ok = rep_accepts.get(view)
+            if ok is None:
+                ok = rep_accepts[view] = constraint_holds(rep, provider, policy)
+                if type(view) is int:
+                    opaque += 1
+            else:
+                request_saved += 1
+            if ok:
+                ok = accepts_rep.get(key)
+                if ok is None:
+                    ok = accepts_rep[key] = constraint_holds(provider, rep, policy)
+                    opaque += rep_opaque
+                else:
+                    provider_saved += 1
+            if not ok:
                 if emit_events:
                     dispositions[pid] = ("constraint",)
                 continue
-            provider_rank = evaluate_rank(provider, rep, policy)
+            provider_rank = ranks_rep.get(key)
+            if provider_rank is None:
+                provider_rank = ranks_rep[key] = evaluate_rank(provider, rep, policy)
+                opaque += rep_opaque
+            else:
+                provider_saved += 1
             if preempts is not None and provider_rank <= current:
                 if emit_events:
                     dispositions[pid] = ("rank", provider_rank, current)
@@ -644,6 +853,9 @@ def negotiation_cycle(
             cands.append(
                 (evaluate_rank(rep, provider, policy), provider_rank, -pid, provider, preempts)
             )
+        stats.view_request_evals_saved += request_saved
+        stats.view_provider_evals_saved += provider_saved
+        stats.view_opaque_evals += opaque
         cands.sort(reverse=True)
         return _ClassState(pool, cands, dispositions)
 
@@ -679,10 +891,7 @@ def negotiation_cycle(
         stats.requests_considered += 1
         if observed_attrs is None:
             observed_attrs = _pool_observed_attrs(providers, policy)
-        key = id(request)
-        sig = signatures.get(key)
-        if sig is None:
-            sig = signatures[key] = _request_signature(request, policy, observed_attrs)
+        sig = _request_signature(request, policy, observed_attrs)
         state = classes.get(sig)
         if state is None:
             state = classes[sig] = _build_class(request)
@@ -793,6 +1002,11 @@ def negotiation_cycle(
         _MM_PREEMPTIONS.inc(stats.preemptions - base_preemptions)
         _MM_PRUNED.inc(stats.constraint_evaluations_saved - base_pruned)
         _MM_CLASSES.inc(stats.request_classes - base_classes)
+        _MM_VIEW_SAVED.inc(
+            stats.view_request_evals_saved
+            + stats.view_provider_evals_saved
+            - base_view_saved
+        )
         _MM_CYCLE_SECONDS.observe(time.perf_counter() - start)
     if emit_events:
         requests_seen = stats.requests_considered - base_requests

@@ -44,9 +44,13 @@ ads.
   workers are configured (mirrors ``REPRO_NO_COMPILE`` /
   ``REPRO_NO_BATCH``).
 * ``REPRO_PARALLEL_THRESHOLD=<pairs>`` / :func:`set_pair_threshold` —
-  the automatic serial fallback: a class whose candidate pool is
-  smaller than this many pairs is scored in-process, because IPC
-  overhead dominates tiny pools.  Tune it from
+  the automatic serial fallback: a class the serial scorer would settle
+  in fewer than this many evaluations is scored in-process, because IPC
+  overhead dominates small jobs.  The serial scorer evaluates the class
+  representative's Constraint once per distinct provider *view*
+  (``matchmaker._view_key``), so that is what is counted: one per pair
+  on a pool where no two providers look alike, a handful on a
+  value-regular pool of any size.  Tune it from
   ``benchmarks/profile_negotiation.py``'s per-stage breakdown.
 
 Failures degrade, never break: a worker crash or serialization surprise
@@ -120,8 +124,8 @@ def _env_int(name: str, default: int) -> int:
         return default
 
 
-#: Default serial-fallback bar: a class build below this many
-#: (class, provider) pairs is cheaper in-process than over IPC
+#: Default serial-fallback bar: a class build the serial scorer settles
+#: in fewer evaluations than this is cheaper in-process than over IPC
 #: (measured with ``profile_negotiation.py --workers N``; see
 #: docs/PERFORMANCE.md for the tuning walkthrough).
 DEFAULT_PAIR_THRESHOLD = 1024
@@ -536,14 +540,20 @@ class CycleScoring:
         pool_ads: Sequence[ClassAd],
         policy: MatchPolicy = DEFAULT_POLICY,
         allow_preemption: bool = True,
+        evaluations: Optional[int] = None,
     ) -> Optional[List[Tuple]]:
         """Fan one class build out to the workers.
 
-        Returns outcome tuples in candidate order, or None when the
-        class should be scored serially (below the threshold, or the
-        pool failed — the caller's serial path is always correct).
+        *evaluations* is what the caller's serial scorer would spend on
+        this class — one per pair unless it knows better (the batched
+        engine evaluates once per distinct provider view).  Returns
+        outcome tuples in candidate order, or None when the class should
+        be scored serially (below the threshold, or the pool failed —
+        the caller's serial path is always correct).
         """
-        if len(pool_ads) < self.threshold or not self.pool.alive:
+        if evaluations is None:
+            evaluations = len(pool_ads)
+        if evaluations < self.threshold or not self.pool.alive:
             self.fallbacks += 1
             if _metrics.enabled:
                 _PAR_FALLBACKS.inc()

@@ -9,6 +9,7 @@ indistinguishable from a fresh rebuild after any advertise/withdraw
 sequence.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -177,30 +178,39 @@ class TestBatchedEqualsNaive:
         assert assignment_key(naive) == assignment_key(batched)
 
 
-class TestEventStreamParity:
-    def _events_of(self, providers, grouped, batch, use_index, accountant):
-        event_log.reset()
-        event_log.enable()
-        try:
-            run_cycle(
-                providers, grouped, batch=batch, use_index=use_index,
-                accountant=accountant,
-            )
-            variable = {"cycle", "batched", "duration_s", "evals_saved",
-                        "request_classes", "pairings_saved", "workers", "chunks"}
-            return [
-                (
-                    e.kind,
-                    tuple(sorted(
-                        (k, v) for k, v in e.fields.items() if k not in variable
-                    )),
-                )
-                for e in event_log.events()
-            ]
-        finally:
-            event_log.disable()
-            event_log.reset()
+#: ``cycle.*`` fields that say *how* a cycle computed, not what it decided.
+VARIABLE_FIELDS = {
+    "cycle", "batched", "duration_s", "evals_saved", "request_classes",
+    "pairings_saved", "workers", "chunks",
+}
 
+
+def events_of(providers, grouped, batch, use_index, accountant=None,
+              allow_preemption=True):
+    """(assignments, stats, normalized event stream) of one logged cycle."""
+    event_log.reset()
+    event_log.enable()
+    try:
+        assignments, stats = run_cycle(
+            providers, grouped, batch=batch, use_index=use_index,
+            accountant=accountant, allow_preemption=allow_preemption,
+        )
+        stream = [
+            (
+                e.kind,
+                tuple(sorted(
+                    (k, v) for k, v in e.fields.items() if k not in VARIABLE_FIELDS
+                )),
+            )
+            for e in event_log.events()
+        ]
+        return assignments, stats, stream
+    finally:
+        event_log.disable()
+        event_log.reset()
+
+
+class TestEventStreamParity:
     def test_replayed_stream_matches_naive(self):
         """Every rejection (taken / unavailable / preemption-disabled /
         constraint attribution / rank-not-above-current), every match,
@@ -232,8 +242,8 @@ class TestEventStreamParity:
             acc.resource_claimed("alice")
         acc.advance_to(10.0)
         for use_index in (False, True):
-            naive = self._events_of(providers, grouped, False, use_index, acc)
-            batched = self._events_of(providers, grouped, True, use_index, acc)
+            naive = events_of(providers, grouped, False, use_index, acc)[2]
+            batched = events_of(providers, grouped, True, use_index, acc)[2]
             assert naive == batched
 
     def test_cycle_end_reports_batching_yield(self):
@@ -306,6 +316,348 @@ class TestKillSwitch:
         assert stats_off.pairings_saved == 0
         assert stats_on.request_classes == 1
         assert stats_on.pairings_saved > 0
+
+
+# -- view memo --------------------------------------------------------------
+#
+# The serial scorer evaluates each side's Constraint/Rank once per distinct
+# *view* of the other side.  Every case below is a way a view key could
+# conflate two ads an expression tells apart (or read an attribute the key
+# left out); each is run against the per-pair naive scan, comparing
+# assignments and the full event stream, with the index on and off.
+
+
+def ad(attrs, **exprs):
+    """A ClassAd from literal *attrs* plus parsed expression attributes."""
+    result = ClassAd(attrs)
+    for name, source in exprs.items():
+        result.set_expr(name, source)
+    return result
+
+
+def view_machine(name, attrs=None, constraint='other.Type == "Job"',
+                 rank='other.Owner == "vip" ? 5 : 0', **exprs):
+    fields = {"Type": "Machine", "Name": name, "Arch": "INTEL", "State": "Unclaimed"}
+    fields.update(attrs or {})
+    return ad(fields, Constraint=constraint, Rank=rank, **exprs)
+
+
+def view_request(owner, job_id, constraint, attrs=None, rank="other.Memory", **exprs):
+    fields = {"Type": "Job", "JobId": job_id, "Owner": owner}
+    fields.update(attrs or {})
+    return ad(fields, Constraint=constraint, Rank=rank, **exprs)
+
+
+def _jobs(constraints, owners=("alice", "bob", "vip"), attrs=None, **exprs):
+    """Every owner submits one request per constraint, twice over (so
+    classes have members as well as representatives)."""
+    grouped, job_id = {}, 0
+    for _ in range(2):
+        for constraint in constraints:
+            for owner in owners:
+                grouped.setdefault(owner, []).append(
+                    view_request(owner, job_id, constraint, attrs, **exprs)
+                )
+                job_id += 1
+    return grouped
+
+
+def _type_coarse():
+    # 64 == 64.0 == True-ish under Python equality; `is`, isInteger,
+    # isBoolean and string() tell them apart.
+    values = [64, 64.0, True, 1, 1.0, "64", 0.0, -0.0, 0]
+    providers = [view_machine(f"m{i}", {"Memory": v}) for i, v in enumerate(values)]
+    providers += [view_machine(f"n{i}", {"Memory": v}) for i, v in enumerate(values)]
+    return providers, _jobs([
+        "other.Memory is 64",
+        "other.Memory is 1",
+        "isInteger(other.Memory)",
+        "isBoolean(other.Memory) || isReal(other.Memory)",
+        "other.Memory == 64",
+        'string(other.Memory) == "0.0"',
+    ])
+
+
+def _absent_vs_undefined():
+    providers = [
+        view_machine("absent"),
+        view_machine("undef", Memory="undefined"),
+        view_machine("err", Memory="error"),
+        view_machine("num", {"Memory": 64}),
+        view_machine("absent2"),
+        view_machine("undef2", Memory="undefined"),
+    ]
+    return providers, _jobs([
+        "other.Memory is undefined",
+        "isUndefined(other.Memory)",
+        "isError(other.Memory)",
+        "other.Memory > 0",
+        "!(other.Memory > 0)",
+    ])
+
+
+def _case_variant_names():
+    providers = [
+        view_machine("m0", {"Memory": 64}),
+        view_machine("m1", {"MEMORY": 64}),
+        view_machine("m2", {"memory": 32}),
+        view_machine("m3", {"MeMoRy": 128}, constraint='OTHER.owner != "bob"'),
+    ]
+    grouped = _jobs(["other.mEmOrY >= 64", "MEMORY < 128"])
+    grouped["carol"] = [
+        view_request("x", 100, "other.memory >= 32", {"OWNER": "bob"}),
+        view_request("x", 101, "other.memory >= 32", {"owner": "vip"}),
+    ]
+    return providers, grouped
+
+
+def _observed_attribute_is_an_expression():
+    # Memory is computed in the provider's own environment — from
+    # attributes no request names, and (m4) from the request itself.
+    providers = [
+        view_machine(f"m{i}", {"Total": total, "Reserved": 16},
+                     Memory="Total - Reserved")
+        for i, total in enumerate([48, 80, 80, 144])
+    ]
+    providers.append(view_machine("m4", Memory="other.Need * 2"))
+    providers.append(view_machine("m5", {"Memory": 64}))
+    providers.append(view_machine("m6", {"Memory": 64}))
+    return providers, _jobs(
+        ["other.Memory >= self.Need", "other.Memory is 64"], attrs={"Need": 48}
+    )
+
+
+def _request_attribute_is_an_expression():
+    # The providers' Constraint and Rank read other.Memory, which each
+    # request computes from attributes no provider names — and (ping)
+    # from the provider's own ad.
+    providers = [
+        view_machine(f"m{i}", {"Memory": memory},
+                     constraint="other.Memory <= Memory", rank="other.Memory")
+        for i, memory in enumerate([32, 64, 64, 128])
+    ]
+    grouped = {}
+    for i, image in enumerate([40, 100, 100, 300]):
+        grouped.setdefault("alice", []).append(view_request(
+            "alice", i, "other.Memory >= 32", {"ImageSize": image},
+            Memory="ImageSize / 2",
+        ))
+    grouped["bob"] = [
+        view_request("bob", 10 + i, "other.Memory >= 32", Memory="other.Memory / 2")
+        for i in range(2)
+    ]
+    return providers, grouped
+
+
+def _bare_names_fall_through():
+    # Providers without Owner read the request's; m2 defines its own.
+    # Requests without Arch/Memory read the provider's; "self" ones don't.
+    providers = [
+        view_machine("m0", {"Memory": 64}, constraint='Owner != "bob"', rank="JobPrio"),
+        view_machine("m1", {"Memory": 64, "Arch": "SPARC"}, constraint='Owner != "bob"'),
+        view_machine("m2", {"Memory": 32, "Owner": "bob"}, constraint='Owner != "bob"'),
+        view_machine("m3", {"Memory": 32}, constraint="Nonesuch is undefined"),
+    ]
+    grouped = _jobs(['Arch == "INTEL" && Memory >= 64', "Memory >= Need"],
+                    attrs={"Need": 48, "JobPrio": 3})
+    grouped["dave"] = [
+        view_request("dave", 200 + i, "Memory >= 48", {"Memory": 16}) for i in range(2)
+    ]
+    return providers, grouped
+
+
+def _preemptable_current_rank():
+    # Equal views, different CurrentRank: the provider Rank is shared,
+    # the strictly-above-current test is not.
+    providers = [
+        view_machine(f"m{i}", {"Memory": 64, "State": "Claimed",
+                                "CurrentRank": current, "RemoteOwner": "someone"})
+        for i, current in enumerate([0.0, 4.0, 5.0, 9.0, 0.0])
+    ]
+    providers.append(view_machine("idle", {"Memory": 64}))
+    providers.append(view_machine("gone", {"Memory": 64, "State": "Owner"}))
+    return providers, _jobs(["other.Memory >= 64", "other.Memory >= 32"])
+
+
+VIEW_CASES = {
+    "type-coarse": _type_coarse,
+    "absent-vs-undefined": _absent_vs_undefined,
+    "case-variant-names": _case_variant_names,
+    "observed-attribute-is-an-expression": _observed_attribute_is_an_expression,
+    "request-attribute-is-an-expression": _request_attribute_is_an_expression,
+    "bare-names-fall-through": _bare_names_fall_through,
+    "preemptable-current-rank": _preemptable_current_rank,
+}
+
+
+def assert_batched_equals_naive(providers, grouped, use_index, allow_preemption=True):
+    """Assignments and the full event stream; returns the batched stats."""
+    naive, _, naive_events = events_of(
+        providers, grouped, False, use_index, allow_preemption=allow_preemption
+    )
+    batched, stats, batched_events = events_of(
+        providers, grouped, True, use_index, allow_preemption=allow_preemption
+    )
+    assert assignment_key(naive) == assignment_key(batched)
+    assert naive_events == batched_events
+    return stats
+
+
+class TestViewMemo:
+    @pytest.mark.parametrize("use_index", [False, True])
+    @pytest.mark.parametrize("case", sorted(VIEW_CASES))
+    def test_view_key_corner_matches_naive(self, case, use_index):
+        providers, grouped = VIEW_CASES[case]()
+        assert_batched_equals_naive(providers, grouped, use_index)
+        assert_batched_equals_naive(providers, grouped, use_index, allow_preemption=False)
+
+    def test_expression_valued_observed_attributes_go_opaque(self):
+        """A view is only as good as the literals it is made of."""
+        for case in ("observed-attribute-is-an-expression",
+                     "request-attribute-is-an-expression"):
+            providers, grouped = VIEW_CASES[case]()
+            _, stats = run_cycle(providers, grouped, batch=True, use_index=False)
+            assert stats.view_opaque_evals > 0
+        providers, grouped = _type_coarse()
+        _, stats = run_cycle(providers, grouped, batch=True, use_index=False)
+        assert stats.view_opaque_evals == 0
+
+    def test_evaluations_bounded_by_distinct_views_not_pool_size(self):
+        """Figure-1 pool, one untrusted submitter: its requests fail every
+        provider's Constraint, so nothing matches and every class scans
+        the whole pool — yet a class build costs one request-side
+        evaluation per distinct (Type, Arch, OpSys, Memory), however many
+        providers there are, and the cycle one provider-side evaluation
+        per (provider, Owner), however many classes there are."""
+        from repro.condor.jobs import DEFAULT_JOB_CONSTRAINT, DEFAULT_JOB_RANK
+        from repro.condor.workload import (
+            FIGURE1_POLICY_CONSTRAINT,
+            FIGURE1_POLICY_RANK,
+        )
+
+        platforms = [("INTEL", "SOLARIS251", 64), ("INTEL", "SOLARIS251", 128),
+                     ("SPARC", "SOLARIS251", 64)]
+        job_memories = [31, 100]
+
+        def pool(size):
+            return [
+                ad({"Type": "Machine", "Name": f"ws{i}", "State": "Unclaimed",
+                    "Arch": arch, "OpSys": opsys, "Memory": memory,
+                    "KFlops": 20000 + i, "LoadAvg": 0.05 * (i % 7),
+                    "KeyboardIdle": 60 * i, "DayTime": 36000,
+                    "ResearchGroup": ["u0", "u1"], "Friends": ["u4"],
+                    "Untrusted": ["u7"]},
+                   Constraint=FIGURE1_POLICY_CONSTRAINT, Rank=FIGURE1_POLICY_RANK)
+                for i in range(size)
+                for arch, opsys, memory in [platforms[i % len(platforms)]]
+            ]
+
+        def queue():
+            return {"u7": [
+                ad({"Type": "Job", "JobId": i, "Owner": "u7", "Memory": memory,
+                    "ReqArch": "INTEL", "ReqOpSys": "SOLARIS251"},
+                   Constraint=DEFAULT_JOB_CONSTRAINT, Rank=DEFAULT_JOB_RANK)
+                for i, memory in enumerate(job_memories * 5)
+            ]}
+
+        for size in (30, 300):
+            providers, grouped = pool(size), queue()
+            assignments, stats = run_cycle(providers, grouped, batch=True, use_index=False)
+            assert assignments == []
+            assert stats.request_classes == len(job_memories)
+            assert stats.view_opaque_evals == 0
+            # The per-pair scorer evaluates the request's Constraint for
+            # every (class, provider) and the provider's wherever that holds.
+            request_side = stats.request_classes * size
+            provider_side = sum(
+                1 for p in providers for memory in job_memories
+                if p.evaluate("Arch") == "INTEL" and p.evaluate("Memory") >= memory
+            )
+            intel = sum(1 for p in providers if p.evaluate("Arch") == "INTEL")
+            assert request_side - stats.view_request_evals_saved == (
+                stats.request_classes * len(platforms)
+            )
+            # One request view (Owner "u7"): once per provider, not per class.
+            assert provider_side - stats.view_provider_evals_saved == intel
+
+
+class TestDerivedFactsFollowMutation:
+    """Reference closures and request signatures are memoized on the ads
+    and validated against the bindings they were read off: editing an ad
+    in place between cycles must never serve a stale one."""
+
+    def _cycle_edit_cycle(self, providers, grouped, edit):
+        assert_batched_equals_naive(providers, grouped, use_index=False)
+        edit()
+        return assert_batched_equals_naive(providers, grouped, use_index=False)
+
+    @staticmethod
+    def _two_kinds_of_job(**differing):
+        """Requests alike in everything but the *differing* attributes."""
+        grouped = {}
+        for attrs in ({k: v[0] for k, v in differing.items()},
+                      {k: v[1] for k, v in differing.items()}):
+            for owner, requests in _jobs(["other.Memory >= 64"], attrs=attrs).items():
+                grouped.setdefault(owner, []).extend(requests)
+        return grouped
+
+    def test_policy_attribute_rebound_behind_an_unchanged_constraint(self):
+        providers = [
+            view_machine(f"m{i}", {"Memory": 64}, constraint="MyPolicy",
+                         MyPolicy='other.Type == "Job"')
+            for i in range(6)
+        ]
+        grouped = self._two_kinds_of_job(JobPrio=(1, 5))
+        self._cycle_edit_cycle(
+            providers, grouped,
+            lambda: providers[1].set_expr("MyPolicy", "other.JobPrio > 2"),
+        )
+
+    def test_literal_turned_expression_and_defined_name_deleted(self):
+        providers = [
+            view_machine(f"m{i}", {"Memory": 64, "Limit": 4, "Site": "here"},
+                         constraint='Site != "away" && other.JobPrio < Limit')
+            for i in range(6)
+        ]
+        grouped = self._two_kinds_of_job(Need=(100, 500), Site=("away", "home"))
+        for requests in grouped.values():
+            for request in requests:
+                request["JobPrio"] = 3
+
+        def edit():
+            providers[0].set_expr("Limit", "other.Need / 100")  # now reads the request
+            del providers[2]["Site"]  # the bare name now falls through to it
+
+        self._cycle_edit_cycle(providers, grouped, edit)
+
+    def test_request_rebound_out_of_its_class(self):
+        providers = [view_machine(f"m{i}", {"Memory": 64}) for i in range(4)]
+        grouped = _jobs(["other.Memory >= self.Need"], attrs={"Need": 32})
+
+        def edit():
+            grouped["alice"][0]["Need"] = 256
+            grouped["bob"][1].set_expr("Constraint", "other.Memory >= 128")
+
+        before = assert_batched_equals_naive(providers, grouped, use_index=False)
+        stats = self._cycle_edit_cycle(providers, grouped, edit)
+        assert stats.request_classes == before.request_classes + 2
+
+    def test_volatile_literals_leave_the_closure_standing(self):
+        """What a refresh does — rebinding literals in place — keeps the
+        memoized closure (and the sharing it buys) valid."""
+        from repro.matchmaking.matchmaker import _observed_attrs
+
+        provider = view_machine(
+            "m0", {"LoadAvg": 0.1},
+            constraint='LoadAvg < 0.3 && other.Owner != "bob"',
+        )
+        roots = ("constraint", "rank")
+        first = _observed_attrs(provider, roots)
+        provider["LoadAvg"] = 0.7
+        assert first == ("owner",)
+        assert _observed_attrs(provider, roots) is first
+        provider.set_expr("LoadAvg", "other.Load")
+        assert _observed_attrs(provider, roots) == ("load", "owner")
 
 
 # -- persistent index -----------------------------------------------------

@@ -3,8 +3,14 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.classads import ClassAd, rank_value
+from repro.classads import UNDEFINED, ClassAd, parse, rank_value
 from repro.matchmaking import Accountant, constraints_satisfied, negotiation_cycle
+
+from tests.matchmaking.test_batch_equivalence import (
+    assert_batched_equals_naive,
+    view_machine,
+    view_request,
+)
 
 
 def machine(name, arch, memory, state="Unclaimed", current_rank=0.0, remote_owner=None):
@@ -146,3 +152,96 @@ class TestNegotiationInvariants:
         assert [
             (a.submitter, a.provider.evaluate("Name")) for a in first
         ] == [(a.submitter, a.provider.evaluate("Name")) for a in second]
+
+
+# -- value-regular pools: the view memo against the per-pair scan ------------
+#
+# Few distinct values, many ads (paper Section 5's "value regularity"), so
+# views are shared — drawn from exactly the values and expressions a view
+# key could get wrong: type-coarse equals (64 / 64.0 / true), absent vs
+# explicitly undefined attributes, case-variant names, attributes bound to
+# expressions on either side, and bare names that fall through.
+
+MEMORY_BINDINGS = [
+    ("Memory", 64), ("Memory", 64.0), ("MEMORY", 64), ("Memory", True),
+    ("Memory", 128), ("memory", "64"), ("Memory", UNDEFINED), None,
+    ("Memory", parse("Total - 16")), ("Memory", parse("other.Need * 2")),
+]
+PROVIDER_CONSTRAINTS = [
+    'other.Type == "Job"',
+    'other.Owner != "bob"',
+    'Owner != "bob" && other.Need <= Memory',  # bare Owner: the request's
+    "other.Need is undefined || isInteger(other.NEED)",
+    "JobPrio > 1",
+]
+PROVIDER_RANKS = ['other.Owner == "vip" ? 5 : 0', "other.Need", "other.JobPrio"]
+REQUEST_CONSTRAINTS = [
+    'other.Type == "Machine" && other.Arch == self.ReqArch && other.Memory >= self.Need',
+    "other.Memory is 64",
+    "isInteger(other.Memory) || isBoolean(other.memory)",
+    'Arch == "INTEL" && Memory >= 64',  # bare names: the provider's
+    "other.Memory is undefined",
+    "isUndefined(other.Disk) && other.MEMORY >= Need",
+]
+NEED_BINDINGS = [
+    ("Need", 32), ("Need", 32.0), ("NEED", 100), None,
+    ("Need", parse("ImageSize / 2")), ("Need", parse("other.Memory / 2")),
+]
+
+view_machines_strategy = st.lists(
+    st.tuples(
+        archs,
+        st.sampled_from(MEMORY_BINDINGS),
+        states,
+        st.sampled_from([0.0, 5.0]),
+        st.sampled_from(PROVIDER_CONSTRAINTS),
+        st.sampled_from(PROVIDER_RANKS),
+    ),
+    max_size=12,
+)
+view_requests_strategy = st.lists(
+    st.tuples(
+        owners,
+        archs,
+        st.sampled_from(NEED_BINDINGS),
+        st.sampled_from(REQUEST_CONSTRAINTS),
+        st.sampled_from([None, 1, 3]),
+    ),
+    max_size=14,
+)
+
+
+def build_views(machine_params, request_params):
+    providers = []
+    for i, (arch, memory, state, current, constraint, rank) in enumerate(machine_params):
+        ad = view_machine(
+            f"m{i}", {"Arch": arch, "State": state, "Total": 80 + 64 * (i % 2)},
+            constraint=constraint, rank=rank,
+        )
+        if memory is not None:
+            ad[memory[0]] = memory[1]
+        if state == "Claimed":
+            ad["CurrentRank"] = current
+            ad["RemoteOwner"] = "someone"
+        providers.append(ad)
+    grouped = {}
+    for i, (owner, arch, need, constraint, prio) in enumerate(request_params):
+        ad = view_request(
+            owner, i, constraint, {"ReqArch": arch, "ImageSize": 64 * (1 + i % 2)}
+        )
+        if need is not None:
+            ad[need[0]] = need[1]
+        if prio is not None:
+            ad["JobPrio"] = prio
+        grouped.setdefault(owner, []).append(ad)
+    return providers, grouped
+
+
+class TestViewMemoEqualsPerPairScan:
+    @given(view_machines_strategy, view_requests_strategy, st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_assignments_and_event_stream_identical(
+        self, machine_params, request_params, use_index, allow_preemption
+    ):
+        providers, grouped = build_views(machine_params, request_params)
+        assert_batched_equals_naive(providers, grouped, use_index, allow_preemption)

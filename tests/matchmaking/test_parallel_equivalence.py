@@ -5,7 +5,7 @@ worker processes is *bit-for-bit identical* to the serial engine —
 same assignments, same preemptions, same fair-share outcomes, same
 ``repro-events/1`` forensic stream — because workers only evaluate
 pure (class, provider) pairings and the parent commits serially in
-the same order.  Also under test: the kill-switch, the pair-count
+the same order.  Also under test: the kill-switch, the
 threshold fallback, dead-pool degradation, and determinism of two
 same-seed chaos recordings with workers enabled.
 """
@@ -21,6 +21,7 @@ from repro.matchmaking import parallel as par
 from repro.obs import event_log
 
 from tests.matchmaking.test_batch_equivalence import (
+    VARIABLE_FIELDS,
     assignment_key,
     build,
     machine,
@@ -29,13 +30,6 @@ from tests.matchmaking.test_batch_equivalence import (
     requests_strategy,
     run_cycle,
 )
-
-#: ``cycle.end`` fields legitimately differing between serial/parallel
-#: runs (wall clock, batching yield, worker bookkeeping).
-VARIABLE_FIELDS = {
-    "cycle", "batched", "duration_s", "evals_saved", "request_classes",
-    "pairings_saved", "workers", "chunks",
-}
 
 
 @pytest.fixture(autouse=True)
@@ -279,6 +273,40 @@ class TestKillSwitchAndFallback:
         finally:
             par.set_parallelism(True)
         assert assignment_key(assignments) == assignment_key(serial)
+
+    def test_threshold_counts_distinct_views_not_pairs(self):
+        """What fanning out saves is the serial scorer's evaluations, and
+        it makes one per distinct provider view: 40 providers showing a
+        request four views stay in-process under a bar of 8, 40 showing
+        it 40 views clear the same bar — and an opaque view (an observed
+        attribute bound to an expression) counts as its own."""
+        from repro.matchmaking import CycleStats, negotiation_cycle
+        grouped = {"alice": [request("alice", i, memory=48) for i in range(3)]}
+        pools = {
+            "regular": [
+                machine(f"m{i}", "INTEL" if i % 2 else "SPARC", 64 if i % 4 < 2 else 128)
+                for i in range(40)
+            ],
+            "irregular": [machine(f"m{i}", memory=64 + i) for i in range(40)],
+            "opaque": [machine(f"m{i}") for i in range(40)],
+        }
+        for ad in pools["opaque"]:
+            ad.set_expr("Memory", "32 * 2")
+        par.set_pair_threshold(8)
+        try:
+            for label, providers in pools.items():
+                stats = CycleStats()
+                assignments = negotiation_cycle(grouped, providers, stats=stats, batch=True)
+                if label == "regular":
+                    assert stats.parallel_pairs_scored == 0
+                    assert stats.parallel_fallbacks == 1
+                else:
+                    assert stats.parallel_pairs_scored == 40
+                    assert stats.parallel_fallbacks == 0
+                serial, _ = run_cycle(providers, grouped, batch=False, use_index=False)
+                assert assignment_key(assignments) == assignment_key(serial), label
+        finally:
+            par.set_pair_threshold(0)
 
     def test_dead_pool_degrades_to_serial(self):
         providers, grouped = scenario()
