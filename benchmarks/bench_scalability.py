@@ -40,7 +40,6 @@ from repro.matchmaking import (
     negotiation_cycle,
     set_batching,
 )
-from repro.matchmaking import parallel as par
 from repro.sim import RngStream
 
 from _report import rows_to_dicts, table, write_bench_json, write_report
@@ -48,10 +47,6 @@ from _report import rows_to_dicts, table, write_bench_json, write_report
 ARCHS = ["INTEL", "SPARC", "ALPHA"]
 OPSYSES = ["SOLARIS251", "LINUX", "OSF1"]
 MEMORIES = [32, 64, 128, 256]
-#: ``build_requests(min_disk=...)`` for the worker-tier measurements:
-#: under every machine's ``Disk``, so the bound changes what a Constraint
-#: reads of a provider, not which providers pass it.
-MIN_DISK = 40_000
 
 
 def build_pool(n, rng):
@@ -76,19 +71,13 @@ def build_pool(n, rng):
     return ads
 
 
-def build_requests(n, rng, distinct=None, min_disk=None):
+def build_requests(n, rng, distinct=None):
     """Queued job ads for 4 submitters.
 
     *distinct* bounds the number of distinct (Memory, ReqArch, ReqOpSys)
     combinations — the paper's Section 5 regularity: a real queue is
     thousands of jobs carrying a handful of Requirements variants.  None
     keeps the unconstrained draw used by the scaling series.
-
-    *min_disk* adds ``other.Disk >= self.DiskNeeded`` to every
-    Constraint.  ``Disk`` is drawn per machine, so no two providers then
-    look alike to a request: the pool keeps its request regularity but
-    loses its *value* regularity (what the serial scorer's view memo
-    feeds on, and the only kind of pool the worker tier engages on).
     """
     combos = None
     if distinct is not None:
@@ -116,14 +105,11 @@ def build_requests(n, rng, distinct=None, min_disk=None):
                     "ContactAddress": f"schedd@user{s}",
                 }
             )
-            constraint = (
+            ad.set_expr(
+                "Constraint",
                 'other.Type == "Machine" && other.Arch == self.ReqArch '
-                "&& other.OpSys == self.ReqOpSys && other.Memory >= self.Memory"
+                "&& other.OpSys == self.ReqOpSys && other.Memory >= self.Memory",
             )
-            if min_disk is not None:
-                ad["DiskNeeded"] = min_disk
-                constraint += " && other.Disk >= self.DiskNeeded"
-            ad.set_expr("Constraint", constraint)
             ad.set_expr("Rank", "other.KFlops / 1E3")
             jobs.append(ad)
         requests[f"user{s}"] = jobs
@@ -397,128 +383,6 @@ def _measure_batch_speedup(n_machines, n_requests, repeats, distinct=12):
     return best, classes
 
 
-def _measure_parallel_speedup(n_machines, n_requests, repeats, workers=4):
-    """Best-of-*repeats* batched cycle: PR 7 worker pool vs serial.
-
-    The workload is the one the parallel tier targets: a big unindexed
-    pool (every class scores every provider) with the regular request
-    mix, each request also bounding the per-machine ``Disk`` — so no two
-    providers look alike to a class, the serial scorer has one
-    evaluation to make per pair, and per-class counts sit far above the
-    fallback threshold.  (Without the bound a class sees a few dozen
-    distinct provider views, the serial scorer settles it in as many
-    evaluations, and the tier declines: ``bench_parallel.py`` asserts
-    that.)  Serial and parallel runs are interleaved per repeat, must
-    produce identical assignments, and every class must have fanned
-    out.  Returns (best, speedup).
-    """
-    rng = RngStream(n_machines, "parallel")
-    providers = build_pool(n_machines, rng.fork("machines"))
-    requests = build_requests(
-        n_requests, rng.fork("jobs"), distinct=12, min_disk=MIN_DISK
-    )
-    batching_before = batching_enabled()
-    workers_before = par.scoring_workers()
-    best = {"serial": float("inf"), "parallel": float("inf")}
-    try:
-        set_batching(True)
-        par.set_scoring_workers(workers)
-        # Warm-up both paths: spawns the pool, ships the provider
-        # chunks, and fills the compile caches on every core.
-        negotiation_cycle(requests, providers, parallel=True)
-        negotiation_cycle(requests, providers, parallel=False)
-        for _ in range(repeats):
-            start = time.perf_counter()
-            serial = negotiation_cycle(requests, providers, parallel=False)
-            best["serial"] = min(best["serial"], time.perf_counter() - start)
-
-            stats = CycleStats()
-            start = time.perf_counter()
-            parallel = negotiation_cycle(
-                requests, providers, parallel=True, stats=stats
-            )
-            best["parallel"] = min(best["parallel"], time.perf_counter() - start)
-            assert [
-                (a.submitter, a.provider.evaluate("Name")) for a in serial
-            ] == [(a.submitter, a.provider.evaluate("Name")) for a in parallel]
-            assert stats.parallel_pairs_scored > 0 and not stats.parallel_fallbacks, (
-                "the parallel cycle did not fan out: the ratio would compare"
-                " the serial scorer with itself"
-            )
-    finally:
-        set_batching(batching_before)
-        par.set_scoring_workers(workers_before)
-        par.shutdown_scoring_pool()
-    return best, best["serial"] / best["parallel"]
-
-
-def _measure_parallel_fallback_overhead(n_machines, n_requests, repeats):
-    """Per-cycle cost of *configured but declined* parallelism.
-
-    Two degraded shapes, each interleaved against an adjacent baseline
-    cycle with parallelism disabled outright (min paired ratio, as in
-    :func:`_measure_overhead`):
-
-    * workers configured, every class below the threshold on pair count
-      alone;
-    * workers configured, every class above it on pair count but below
-      it on distinct provider views — the value-regular pool, which pays
-      one pass over the views the serial scorer needs anyway;
-    * the ``REPRO_NO_PARALLEL`` kill-switch.
-
-    All must stay within the 5% bar: pools the tier declines pay nothing
-    for the parallel plumbing they don't use.
-    """
-    rng = RngStream(n_machines, "fallback")
-    providers = build_pool(n_machines, rng.fork("machines"))
-    requests = build_requests(n_requests, rng.fork("jobs"), distinct=12)
-    batching_before = batching_enabled()
-    workers_before = par.scoring_workers()
-    threshold_before = par.pair_threshold()
-    ratios = {"threshold": float("inf"), "regular": float("inf"),
-              "killswitch": float("inf")}
-    # 3 archs x 3 opsyses x 4 memories: at most 36 views of this pool.
-    views_bar = max(64, n_machines // 4)
-    try:
-        set_batching(True)
-        par.set_scoring_workers(2)
-        par.set_pair_threshold(10 * n_machines)  # nothing clears the bar
-        negotiation_cycle(requests, providers)  # warm-up
-        for _ in range(repeats):
-            start = time.perf_counter()
-            negotiation_cycle(requests, providers, parallel=False)
-            off_elapsed = time.perf_counter() - start
-
-            start = time.perf_counter()
-            negotiation_cycle(requests, providers, parallel=True)
-            elapsed = time.perf_counter() - start
-            ratios["threshold"] = min(ratios["threshold"], elapsed / off_elapsed)
-
-            par.set_pair_threshold(views_bar)
-            stats = CycleStats()
-            start = time.perf_counter()
-            negotiation_cycle(requests, providers, parallel=True, stats=stats)
-            elapsed = time.perf_counter() - start
-            par.set_pair_threshold(10 * n_machines)
-            ratios["regular"] = min(ratios["regular"], elapsed / off_elapsed)
-            assert stats.parallel_pairs_scored == 0, (
-                "a value-regular pool fanned out to the workers"
-            )
-
-            par.set_parallelism(False)
-            start = time.perf_counter()
-            negotiation_cycle(requests, providers)
-            elapsed = time.perf_counter() - start
-            par.set_parallelism(True)
-            ratios["killswitch"] = min(ratios["killswitch"], elapsed / off_elapsed)
-    finally:
-        set_batching(batching_before)
-        par.set_pair_threshold(threshold_before)
-        par.set_scoring_workers(workers_before)
-        par.shutdown_scoring_pool()
-    return ratios
-
-
 def _steady_state_rebuilds(n_machines, n_requests, cycles=3):
     """Full index rebuilds observed across *cycles* steady-state
     negotiations on a live matchmaker (periodic re-advertisement of
@@ -580,24 +444,6 @@ def run_smoke(out_dir=None, machines=500, requests=100, repeats=5):
     batch_speedup = batch_best["unbatched"] / batch_best["batched"]
     steady_rebuilds = _steady_state_rebuilds(machines, requests)
 
-    # PR 7: the multi-core scoring tier.  The speedup bar (>= 1.5x at
-    # N >= 5000 providers, 4 workers) needs 4 real cores to mean
-    # anything — on smaller hosts only the fallback-overhead bar runs.
-    cores = os.cpu_count() or 1
-    parallel_best = None
-    parallel_speedup = None
-    parallel_machines = max(5000, machines)
-    if cores >= 4:
-        parallel_best, parallel_speedup = _measure_parallel_speedup(
-            parallel_machines, 2 * requests, min(repeats, 3), workers=4
-        )
-    fallback_ratios = _measure_parallel_fallback_overhead(
-        machines, requests, repeats
-    )
-    fallback_overhead_pct = max(
-        0.0, 100.0 * (max(fallback_ratios.values()) - 1.0)
-    )
-
     # One recorded cycle with the file sink on — the CI artifact that
     # `repro obs report` and the JSONL validation step consume.
     events_path = os.path.join(results_dir(out_dir), "events.jsonl")
@@ -630,13 +476,7 @@ def run_smoke(out_dir=None, machines=500, requests=100, repeats=5):
         "batch_cycle_speedup": batch_speedup,
         "batch_request_classes": batch_classes,
         "steady_state_index_rebuilds": steady_rebuilds,
-        "parallel_fallback_overhead_pct": fallback_overhead_pct,
     }
-    if parallel_speedup is not None:
-        throughput["cycle_s_serial_batched"] = parallel_best["serial"]
-        throughput["cycle_s_parallel"] = parallel_best["parallel"]
-        throughput["parallel_cycle_speedup"] = parallel_speedup
-        throughput["parallel_workers"] = 4
     report = table(HEADERS, rows) + (
         f"\n\nindexed cycle ({machines} machines, {requests} requests,"
         f" best of {repeats}):"
@@ -657,20 +497,6 @@ def run_smoke(out_dir=None, machines=500, requests=100, repeats=5):
         f" ({batch_speedup:.2f}x, {batch_classes} request classes)"
         f"\n  steady-state full index rebuilds   : {steady_rebuilds}"
     )
-    if parallel_speedup is not None:
-        report += (
-            f"\n\nparallel scoring ({parallel_machines} machines,"
-            f" {2 * requests} requests, 4 workers, best of {min(repeats, 3)}):"
-            f"\n  serial batched : {1000 * parallel_best['serial']:.1f}ms"
-            f"\n  4-worker pool  : {1000 * parallel_best['parallel']:.1f}ms"
-            f" ({parallel_speedup:.2f}x)"
-            f"\n  declined-fallback overhead: {fallback_overhead_pct:+.1f}%"
-        )
-    else:
-        report += (
-            f"\n\nparallel scoring: speedup not measured ({cores} cores"
-            f" < 4); declined-fallback overhead {fallback_overhead_pct:+.1f}%"
-        )
     write_report("E6_scalability_smoke", report, out_dir=out_dir)
     path = write_bench_json(
         "E6_scalability",
@@ -709,17 +535,6 @@ def run_smoke(out_dir=None, machines=500, requests=100, repeats=5):
         f"{steady_rebuilds} full index rebuilds during steady-state cycles;"
         " the delta-maintained index must absorb refresh traffic"
     )
-    if machines >= 250:
-        assert fallback_overhead_pct <= 5.0, (
-            f"declined parallelism costs {fallback_overhead_pct:.1f}% on the"
-            " smoke cycle; the fallback bar is 5%"
-        )
-    if parallel_speedup is not None:
-        assert parallel_speedup >= 1.5, (
-            f"4-worker scoring is only {parallel_speedup:.2f}x the serial"
-            f" batched cycle at {parallel_machines} providers; the"
-            " acceptance bar is 1.5x"
-        )
     return path
 
 

@@ -26,14 +26,7 @@ BASELINES_DIR = os.path.join(os.path.dirname(__file__), "baselines")
 
 #: throughput keys gated per benchmark name; everything else is FYI.
 GATED = {
-    # parallel_cycle_speedup is only recorded on hosts with >= 4 cores
-    # (bench_scalability.py); on smaller runners the key is absent from
-    # the fresh record and the figure is reported as skipped.
-    "E6_scalability": (
-        "batch_cycle_speedup",
-        "compile_cycle_speedup",
-        "parallel_cycle_speedup",
-    ),
+    "E6_scalability": ("batch_cycle_speedup", "compile_cycle_speedup"),
     "EVAL_compile": ("warm_speedup",),
     # PR 8: the refresh fast path must keep beating full re-advertising
     # on steady-state collector ingest (baseline seeded at 2.5 so the

@@ -46,9 +46,9 @@ so the fallback cannot rot.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, Optional
 
+from .._env import env_flag
 from ..obs import metrics as _metrics
 from . import evaluator as _interp
 from .ast import (
@@ -111,11 +111,7 @@ _MEMO_LIMIT = 4096
 _MISSING = object()
 
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-_ENABLED = not _env_flag("REPRO_NO_COMPILE")
+_ENABLED = not env_flag("REPRO_NO_COMPILE")
 
 
 def compilation_enabled() -> bool:

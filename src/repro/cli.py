@@ -300,7 +300,7 @@ def cmd_obs_record(args) -> int:
 
 
 #: ``repro obs report`` sections, in print order.
-REPORT_SECTIONS = ("cycles", "rejections", "robustness", "parallel", "kinds")
+REPORT_SECTIONS = ("cycles", "rejections", "robustness", "kinds")
 
 
 def cmd_obs_report(args) -> int:
@@ -329,11 +329,6 @@ def cmd_obs_report(args) -> int:
         print()
         print("robustness (network + retry/lease accounting):")
         for key, value in summary["robustness"].items():
-            print(f"  {key:<24} {value}")
-    if "parallel" in wanted and summary.get("parallel"):
-        print()
-        print("parallel scoring (worker-pool accounting):")
-        for key, value in summary["parallel"].items():
             print(f"  {key:<24} {value}")
     if "kinds" in wanted:
         print()
@@ -616,26 +611,19 @@ def cmd_chaos(args) -> int:
     obs.reset()
     reset_message_ids()
     reset_cycle_ids()
-    obs.enable(events=True, causal=bool(args.trace), timeseries=bool(args.series))
-    if args.out:
-        obs.event_log.open_file(args.out)
-    if args.trace:
-        obs.causal_log.open_file(args.trace)
-    if args.series:
-        obs.series.open_file(args.series)
-    if args.no_retry:
-        set_retries(False)
-    # Worker-pool recording: the chaos pools are tiny, so drop the pair
-    # threshold too — otherwise every class would fall back to serial
-    # and the recording would not exercise the parallel tier at all.
-    from .matchmaking import parallel as _parallel
-
-    workers_before = _parallel.scoring_workers()
-    threshold_before = _parallel.pair_threshold()
-    if args.workers:
-        _parallel.set_scoring_workers(args.workers)
-        _parallel.set_pair_threshold(0)
+    # Everything from here on changes process-wide state, so it all sits
+    # under the ``finally`` that undoes it — an unwritable --trace path
+    # must not leave the event log enabled with its sink open.
     try:
+        obs.enable(events=True, causal=bool(args.trace), timeseries=bool(args.series))
+        if args.out:
+            obs.event_log.open_file(args.out)
+        if args.trace:
+            obs.causal_log.open_file(args.trace)
+        if args.series:
+            obs.series.open_file(args.series)
+        if args.no_retry:
+            set_retries(False)
         specs = [
             MachineSpec(name=f"m{i}", mips=100.0 + 50.0 * (i % 3))
             for i in range(args.machines)
@@ -685,9 +673,6 @@ def cmd_chaos(args) -> int:
                     "schedd.leases_lost",
                     "schedd.duplicate_matches",
                     "machine.duplicate_claims",
-                    "parallel.chunks",
-                    "parallel.pairs_scored",
-                    "parallel.fallbacks",
                 )
                 if key in totals
             },
@@ -710,10 +695,6 @@ def cmd_chaos(args) -> int:
     finally:
         if args.no_retry:
             set_retries(None)
-        if args.workers:
-            _parallel.set_scoring_workers(workers_before)
-            _parallel.set_pair_threshold(threshold_before)
-            _parallel.shutdown_scoring_pool()
         obs.event_log.close_file()
         obs.causal_log.close_file()
         obs.series.close_file()
@@ -850,13 +831,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-retry",
         action="store_true",
         help="disable protocol retries/leases (demonstrates stranded work)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="score negotiation candidates on N worker processes "
-        "(0 = serial; recordings stay bitwise-deterministic either way)",
     )
     p.set_defaults(func=cmd_chaos)
 

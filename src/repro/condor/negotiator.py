@@ -60,7 +60,6 @@ class Negotiator:
         allow_preemption: bool = True,
         use_index: bool = False,
         with_session_key: bool = False,
-        parallel: Optional[bool] = None,
         rng=None,
     ):
         self.sim = sim
@@ -84,9 +83,6 @@ class Negotiator:
         self.allow_preemption = allow_preemption
         self.use_index = use_index
         self.with_session_key = with_session_key
-        #: Tri-state: None defers to the module-level parallel-scoring
-        #: switch (REPRO_SCORING_WORKERS / REPRO_NO_PARALLEL).
-        self.parallel = parallel
 
         self.cycles_run = 0
         self.total_matches = 0
@@ -123,7 +119,6 @@ class Negotiator:
                 allow_preemption=self.allow_preemption,
                 index=index,
                 stats=stats,
-                parallel=self.parallel,
             )
             span.annotate(matched=len(assignments))
         if _metrics.enabled:

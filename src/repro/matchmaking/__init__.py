@@ -71,19 +71,6 @@ from .matchmaker import (
     negotiation_cycle,
     set_batching,
 )
-from .parallel import (
-    CycleScoring,
-    ScoringPool,
-    ScoringPoolError,
-    pair_threshold,
-    parallelism_enabled,
-    scoring_pool,
-    scoring_workers,
-    set_pair_threshold,
-    set_parallelism,
-    set_scoring_workers,
-    shutdown_scoring_pool,
-)
 from .query import count_matching, one_way_match, select
 
 __all__ = [
@@ -109,7 +96,6 @@ __all__ = [
     "group_signature",
     "is_unsatisfiable",
     "pool_attribute_census",
-    "CycleScoring",
     "CycleStats",
     "DEFAULT_EQUALITY_ATTRS",
     "DEFAULT_POLICY",
@@ -121,8 +107,6 @@ __all__ = [
     "Matchmaker",
     "Predicate",
     "ProviderIndex",
-    "ScoringPool",
-    "ScoringPoolError",
     "SubmitterRecord",
     "availability_of",
     "batching_enabled",
@@ -138,15 +122,7 @@ __all__ = [
     "extract_predicates",
     "negotiation_cycle",
     "one_way_match",
-    "pair_threshold",
-    "parallelism_enabled",
     "rank_candidates",
-    "scoring_pool",
-    "scoring_workers",
     "select",
-    "set_pair_threshold",
-    "set_parallelism",
-    "set_scoring_workers",
-    "shutdown_scoring_pool",
     "symmetric_match",
 ]

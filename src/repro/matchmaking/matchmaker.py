@@ -13,59 +13,52 @@ Two layers live here:
   (the paper's end-to-end argument), only the ads most recently
   advertised to it, which are soft state refreshed by the advertising
   protocol and fully reconstructible after a crash (experiment E1).
-* :func:`negotiation_cycle` — the pure algorithm of Section 4's
-  "negotiation cycle": serve submitters in fair-share order, pick the
-  best-ranked compatible resource for each request, honouring
-  Rank-driven preemption.
+* :func:`negotiation_cycle` — Section 4's "negotiation cycle": serve
+  submitters in fair-share order, pick the best-ranked compatible
+  resource for each request, honouring Rank-driven preemption.
 
-Since PR 4 the cycle is *batched*: the paper's Section 5 observation
-that ad lists "exhibit a high degree of regularity" holds for requests
-too — a submitter's queue is typically thousands of jobs with a handful
-of distinct Requirements/Rank combinations.  The cycle groups requests
-into behavioural equivalence classes (see :func:`_request_signature`),
-evaluates constraints and ranks once per (class, provider), and lets
-class members consume the shared ranked candidate list under the
-per-cycle ``taken`` set.  The batched cycle is assignment-identical to
-the naive scan — same matches, same preemptions, same tie-breaks, and
-(with the event log on) the same forensic event stream, replayed per
-member from the per-class dispositions.  ``REPRO_NO_BATCH=1`` or
-:func:`set_batching` falls back to the naive reference path, mirroring
-PR 3's ``REPRO_NO_COMPILE`` switch.
+The cycle has one scorer, one oracle, and three stages.
 
-Since PR 14 the batched engine's serial scorer also exploits Section 5's
-*value* regularity, in both directions: an expression can tell two ads
-apart only through the attributes it can read, so a class
-representative's Constraint is evaluated once per distinct *view* the
-providers show it (see :func:`_view_key`), and each provider's
-Constraint and Rank once per cycle per distinct view requests show the
-pool.  The per-pair loop, its check order and its outcomes are
-unchanged; only repeated evaluations are served from the first.
+**The oracle** (:func:`_naive_try_match`) is the paper read literally:
+for each request scan the providers, evaluate both Constraints and both
+Ranks per pair, keep the best.  ``batch=False``, ``REPRO_NO_BATCH=1`` or
+:func:`set_batching` selects it; the differential suites hold the scorer
+to it — same matches, same preemptions, same tie-breaks, and (with the
+event log on) the same forensic event stream.
 
-Since PR 7 the batched engine's per-class candidate construction can
-additionally fan out to a persistent pool of scoring worker *processes*
-(:mod:`.parallel`): constraint checks and bilateral rank evaluations for
-each ``(class, provider)`` pair run on every core, results are merged in
-deterministic provider order, and assignment/preemption/fair-share
-commit stays serial and unchanged — so parallel cycles are bit-for-bit
-identical to serial ones.  ``REPRO_SCORING_WORKERS=<n>`` opts in,
-``REPRO_NO_PARALLEL=1`` kills it, and classes the serial scorer settles
-in few evaluations — small pools, and value-regular pools of any size —
-stay with it automatically (IPC overhead dominates small jobs).
+**The scorer** exploits Section 5's observation that ad lists "exhibit a
+high degree of regularity", twice.  Requests: a queue is thousands of
+jobs with a handful of distinct Requirements/Rank combinations, so
+requests are grouped into behavioural equivalence classes (see
+:func:`_request_signature`), each settled against the pool once and
+consumed by its members under the per-cycle ``taken`` set.  Values: an
+expression can tell two ads apart only through the attributes it can
+read, so a class representative's Constraint is evaluated once per
+distinct *view* the providers show it (see :func:`_view_key`), and each
+provider's Constraint and Rank once per cycle per distinct view
+requests show the pool.
+
+**The stages** are module-level functions over one per-cycle record
+(:class:`_Cycle`): :func:`_scan` picks a request's candidate providers
+(the index's, or the whole pool), :func:`_score` settles a class against
+them, :func:`_commit` records an assignment and :func:`_replay`
+reproduces the oracle's per-member events from the class dispositions.
+The oracle shares ``_scan`` and ``_commit`` and cannot reach the class
+table or the view memos, which live apart in :class:`_ClassTable`.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from .._env import env_flag
 from ..classads import ClassAd
 from ..classads.ast import Expr, Literal, external_references
 from ..classads.compile import cache_hits_total as _compiled_cache_hits, structural_key
 from ..obs import event_log as _events, metrics as _metrics, tracer as _tracer
-from . import parallel as _parallel
 from .accounting import Accountant
 from .diagnose import attribute_failure
 from .index import MaintainedIndex, ProviderIndex
@@ -125,11 +118,7 @@ def reset_cycle_ids() -> None:
     _CYCLE_IDS = itertools.count(1)
 
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-_BATCH_ENABLED = not _env_flag("REPRO_NO_BATCH")
+_BATCH_ENABLED = not env_flag("REPRO_NO_BATCH")
 
 
 def batching_enabled() -> bool:
@@ -158,15 +147,6 @@ def _identity_field(ad: ClassAd, name: str):
     return value if isinstance(value, (int, float, str)) and not isinstance(value, bool) else None
 
 
-def _job_identity(request: ClassAd) -> Dict[str, object]:
-    """The fields that name a request in forensic events."""
-    return {"job": _identity_field(request, "JobId")}
-
-
-def _provider_name(provider: ClassAd):
-    return _identity_field(provider, "Name")
-
-
 @dataclass(frozen=True)
 class Assignment:
     """One negotiated match: a request ad paired with a provider ad.
@@ -192,12 +172,9 @@ class CycleStats:
     matched: int = 0
     preemptions: int = 0
     constraint_evaluations_saved: int = 0  # by index pre-filtering
-    request_classes: int = 0  # equivalence classes built (0 on the naive path)
+    request_classes: int = 0  # equivalence classes built (0 on the oracle path)
     pairings_saved: int = 0  # (request, provider) pairings served from a class
-    parallel_chunks: int = 0  # worker chunks engaged by class builds
-    parallel_pairs_scored: int = 0  # pairs evaluated in worker processes
-    parallel_fallbacks: int = 0  # class builds scored serially despite config
-    # View memo (serial scorer): evaluations a class build did not make
+    # View memo: evaluations a class build did not make
     # because an ad showing the expression the same view was already
     # evaluated — the representative's Constraint across providers, and
     # providers' Constraint/Rank across request classes — and those it
@@ -206,14 +183,6 @@ class CycleStats:
     view_request_evals_saved: int = 0
     view_provider_evals_saved: int = 0
     view_opaque_evals: int = 0
-
-
-# Backwards-compatible aliases: these classification helpers moved to
-# .match in PR 4 so the batched engine and the naive reference path share
-# one definition.
-_availability = availability_of
-_current_rank = current_rank_of
-_current_owner = current_owner_of
 
 
 # -- request equivalence ------------------------------------------------------
@@ -435,7 +404,7 @@ def _request_signature(
 class _ClassState:
     """Shared per-cycle state of one request equivalence class."""
 
-    __slots__ = ("pool", "cands", "head", "dispositions", "members")
+    __slots__ = ("pool", "cands", "head", "dispositions")
 
     def __init__(self, pool, cands, dispositions):
         self.pool = pool
@@ -449,7 +418,438 @@ class _ClassState:
         #: reject reason replayed into the event log for each member.
         #: Only built while the event log is enabled.
         self.dispositions = dispositions
-        self.members = 0  # match attempts served from this class
+
+
+class _Cycle:
+    """What the stages of one negotiation cycle share: the inputs, what
+    has been decided so far, and per-ad memos.  Plain data; the stages
+    are the module-level functions below.  It holds no request-class or
+    view table, and it is all the per-pair oracle is ever handed.
+    """
+
+    __slots__ = (
+        "providers", "policy", "allow_preemption", "index", "stats", "emit_events",
+        "cycle_id", "taken", "assignments", "provider_states", "provider_names",
+        "job_identities",
+    )
+
+    def __init__(self, providers, policy, allow_preemption, index, stats):
+        self.providers = providers
+        self.policy = policy
+        self.allow_preemption = allow_preemption
+        self.index = index
+        self.stats = stats
+        #: The event-log switch, read once per cycle: the per-pair loops
+        #: pay one truth test while the log is off, and record
+        #: clause-level rejection attribution while it is on.
+        self.emit_events = _events.enabled
+        self.cycle_id = next(_CYCLE_IDS) if self.emit_events else None
+        self.taken: Set[int] = set()  # ids of providers already matched this cycle
+        self.assignments: List[Assignment] = []
+        #: id(provider) -> (availability, preempted occupant, CurrentRank):
+        #: facts of the ad, not of the pairing, so computed once per
+        #: provider per cycle instead of once per (request, provider).
+        self.provider_states: Dict[int, Tuple[str, Optional[str], float]] = {}
+        # Identity fields recur on every rejection event — a busy cycle
+        # emits thousands of rejects, each naming the same few ads — so
+        # the ClassAd lookups behind them are memoized like the above.
+        self.provider_names: Dict[int, object] = {}
+        self.job_identities: Dict[int, Dict[str, object]] = {}
+
+
+class _ClassTable:
+    """The class engine's per-cycle tables; the oracle never sees one.
+
+    The view memo is Section 5's *value* regularity: an expression sees
+    of the other ad only the attributes it can read, so one evaluation
+    serves every ad showing it the same view (see :func:`_view_key`).
+    """
+
+    __slots__ = ("observed", "classes", "provider_views", "provider_verdicts")
+
+    def __init__(self):
+        #: Request attributes some provider's Constraint/Rank can read;
+        #: computed when the first request is served.
+        self.observed: Optional[Tuple[str, ...]] = None
+        self.classes: Dict[Tuple, _ClassState] = {}  # request signature -> class
+        #: attribute names read -> {id(provider): its view under those names}
+        self.provider_views: Dict[Tuple[str, ...], Dict[int, object]] = {}
+        #: request view under ``observed`` -> ({id(provider): its
+        #: Constraint's verdict}, {id(provider): its Rank}) for such requests
+        self.provider_verdicts: Dict[object, Tuple[Dict[int, bool], Dict[int, float]]] = {}
+
+
+def _provider_state(cycle: _Cycle, provider: ClassAd) -> Tuple[str, Optional[str], float]:
+    key = id(provider)
+    state = cycle.provider_states.get(key)
+    if state is None:
+        avail = availability_of(provider)
+        if avail == "preemptable":
+            state = (avail, current_owner_of(provider) or "<unknown>", current_rank_of(provider))
+        else:
+            state = (avail, None, 0.0)
+        cycle.provider_states[key] = state
+    return state
+
+
+# -- forensic events ----------------------------------------------------------
+
+
+def _name_of(cycle: _Cycle, provider: ClassAd):
+    key = id(provider)
+    name = cycle.provider_names.get(key)
+    if name is None:
+        name = cycle.provider_names[key] = _identity_field(provider, "Name")
+    return name
+
+
+def _identity_of(cycle: _Cycle, request: ClassAd) -> Dict[str, object]:
+    """The fields that name a request in forensic events."""
+    key = id(request)
+    ident = cycle.job_identities.get(key)
+    if ident is None:
+        ident = cycle.job_identities[key] = {"job": _identity_field(request, "JobId")}
+    return ident
+
+
+def _emit_reject(cycle: _Cycle, submitter: str, request: ClassAd, provider: ClassAd,
+                 **fields) -> None:
+    _events.emit(
+        "match.reject",
+        cycle=cycle.cycle_id,
+        submitter=submitter,
+        provider=_name_of(cycle, provider),
+        **_identity_of(cycle, request),
+        **fields,
+    )
+
+
+def _emit_constraint_reject(cycle: _Cycle, submitter: str, request: ClassAd,
+                            provider: ClassAd) -> None:
+    """The Section 5 diagnosis, captured at match time: which side's
+    Constraint failed, and on which top-level conjunct."""
+    attribution = attribute_failure(request, provider, cycle.policy)
+    fields: Dict[str, object] = {"reason": "constraint"}
+    if attribution is not None:
+        fields.update(
+            side=attribution.side,
+            constraint=attribution.constraint,
+            conjunct=attribution.conjunct,
+            value=attribution.value,
+        )
+        if attribution.undefined_attrs:
+            fields["undefined"] = list(attribution.undefined_attrs)
+    _emit_reject(cycle, submitter, request, provider, **fields)
+
+
+def _emit_unmatched(cycle: _Cycle, submitter: str, request: ClassAd, candidates: int) -> None:
+    _events.emit(
+        "job.unmatched",
+        cycle=cycle.cycle_id,
+        submitter=submitter,
+        candidates=candidates,
+        **_identity_of(cycle, request),
+    )
+
+
+# -- the three stages ---------------------------------------------------------
+#
+# Always called through this module's globals, never bound into a local
+# or a default argument, so a benchmark or a test can wrap one by name.
+
+
+def _scan(cycle: _Cycle, request: ClassAd) -> Sequence[ClassAd]:
+    """Stage 1, candidate scan: the providers worth scoring for *request*
+    — the index's candidates, or the whole pool."""
+    if cycle.index is not None:
+        return cycle.index.candidates_for(request, cycle.policy)
+    return cycle.providers
+
+
+def _score(cycle: _Cycle, table: _ClassTable, rep: ClassAd,
+           pool: Sequence[ClassAd]) -> _ClassState:
+    """Stage 2, class score: settle every (class, provider) pairing once,
+    exactly in the oracle's check order, and record the outcome.
+
+    The loop walks every pairing but evaluates per *view*: the
+    representative's Constraint once per distinct view the class's
+    providers show it, each provider's Constraint and Rank once per
+    cycle per distinct view requests show the pool.
+    """
+    policy = cycle.policy
+    allow_preemption = cycle.allow_preemption
+    cands: List[Tuple] = []
+    dispositions: Optional[List[Optional[Tuple]]] = (
+        [None] * len(pool) if cycle.emit_events else None
+    )
+    reads = _observed_attrs(rep, _constraint_root(rep, policy))
+    views = table.provider_views.setdefault(reads, {})
+    rep_accepts: Dict[object, bool] = {}  # provider view -> rep's Constraint holds
+    rep_view = _view_key(rep, table.observed)
+    rep_opaque = type(rep_view) is int
+    accepts_rep, ranks_rep = table.provider_verdicts.setdefault(rep_view, ({}, {}))
+    request_saved = provider_saved = opaque = 0
+    for pid, provider in enumerate(pool):
+        availability, owner, current = _provider_state(cycle, provider)
+        if availability == "unavailable":
+            if dispositions is not None:
+                dispositions[pid] = ("unavailable",)
+            continue
+        preempts: Optional[str] = None
+        if availability == "preemptable":
+            if not allow_preemption:
+                if dispositions is not None:
+                    dispositions[pid] = ("preemption-disabled",)
+                continue
+            preempts = owner
+        key = id(provider)
+        view = views.get(key)
+        if view is None:
+            view = views[key] = _view_key(provider, reads)
+        ok = rep_accepts.get(view)
+        if ok is None:
+            ok = rep_accepts[view] = constraint_holds(rep, provider, policy)
+            if type(view) is int:
+                opaque += 1
+        else:
+            request_saved += 1
+        if ok:
+            ok = accepts_rep.get(key)
+            if ok is None:
+                ok = accepts_rep[key] = constraint_holds(provider, rep, policy)
+                opaque += rep_opaque
+            else:
+                provider_saved += 1
+        if not ok:
+            if dispositions is not None:
+                dispositions[pid] = ("constraint",)
+            continue
+        provider_rank = ranks_rep.get(key)
+        if provider_rank is None:
+            provider_rank = ranks_rep[key] = evaluate_rank(provider, rep, policy)
+            opaque += rep_opaque
+        else:
+            provider_saved += 1
+        if preempts is not None and provider_rank <= current:
+            if dispositions is not None:
+                dispositions[pid] = ("rank", provider_rank, current)
+            continue
+        cands.append(
+            (evaluate_rank(rep, provider, policy), provider_rank, -pid, provider, preempts)
+        )
+    stats = cycle.stats
+    stats.view_request_evals_saved += request_saved
+    stats.view_provider_evals_saved += provider_saved
+    stats.view_opaque_evals += opaque
+    cands.sort(reverse=True)
+    return _ClassState(pool, cands, dispositions)
+
+
+def _commit(cycle: _Cycle, submitter: str, request: ClassAd, provider: ClassAd,
+            customer_rank: float, provider_rank: float, preempts: Optional[str]) -> None:
+    """Stage 3, serial commit: the one place a provider becomes taken."""
+    cycle.taken.add(id(provider))
+    cycle.assignments.append(
+        Assignment(submitter, request, provider, customer_rank, provider_rank, preempts)
+    )
+    stats = cycle.stats
+    stats.matched += 1
+    if preempts is not None:
+        stats.preemptions += 1
+    if cycle.emit_events:
+        name = _name_of(cycle, provider)
+        ident = _identity_of(cycle, request)
+        _events.emit(
+            "match.made", cycle=cycle.cycle_id, submitter=submitter, provider=name,
+            customer_rank=customer_rank, provider_rank=provider_rank, preempts=preempts,
+            **ident,
+        )
+        if preempts is not None:
+            _events.emit(
+                "preemption", cycle=cycle.cycle_id, submitter=submitter, provider=name,
+                evicted=preempts, **ident,
+            )
+
+
+def _replay(cycle: _Cycle, submitter: str, request: ClassAd, state: _ClassState) -> None:
+    """Stage 3's forensic half: reproduce the oracle's event stream for
+    one class member from the class dispositions plus the current
+    ``taken`` set (checked first, as the oracle does)."""
+    taken = cycle.taken
+    dispositions = state.dispositions
+    for pid, provider in enumerate(state.pool):
+        if id(provider) in taken:
+            _emit_reject(cycle, submitter, request, provider, reason="taken")
+            continue
+        d = dispositions[pid]
+        if d is None:
+            continue
+        reason = d[0]
+        if reason == "constraint":
+            _emit_constraint_reject(cycle, submitter, request, provider)
+        elif reason == "rank":
+            _emit_reject(
+                cycle, submitter, request, provider,
+                reason="rank-not-above-current", provider_rank=d[1], current_rank=d[2],
+            )
+        else:
+            _emit_reject(cycle, submitter, request, provider, reason=reason)
+
+
+# -- serving one request ------------------------------------------------------
+
+
+def _naive_try_match(cycle: _Cycle, submitter: str, request: ClassAd) -> bool:
+    """The oracle (Section 3.3 read literally): scan the candidates for
+    this one request, evaluate both Constraints and both Ranks per pair,
+    keep the best.  It shares the scan and commit stages with the class
+    engine and nothing else — no class, no view, no memoized verdict."""
+    stats = cycle.stats
+    policy = cycle.policy
+    taken = cycle.taken
+    emit_events = cycle.emit_events
+    stats.requests_considered += 1
+    pool = _scan(cycle, request)
+    stats.constraint_evaluations_saved += len(cycle.providers) - len(pool)
+    chosen: Optional[Tuple[Match, Optional[str]]] = None
+    for pid, provider in enumerate(pool):
+        if id(provider) in taken:
+            if emit_events:
+                _emit_reject(cycle, submitter, request, provider, reason="taken")
+            continue
+        availability, owner, current = _provider_state(cycle, provider)
+        if availability == "unavailable":
+            if emit_events:
+                _emit_reject(cycle, submitter, request, provider, reason="unavailable")
+            continue
+        preempts: Optional[str] = None
+        if availability == "preemptable":
+            if not cycle.allow_preemption:
+                if emit_events:
+                    _emit_reject(
+                        cycle, submitter, request, provider, reason="preemption-disabled"
+                    )
+                continue
+            preempts = owner
+        if not constraints_satisfied(request, provider, policy):
+            if emit_events:
+                _emit_constraint_reject(cycle, submitter, request, provider)
+            continue
+        provider_rank = evaluate_rank(provider, request, policy)
+        if preempts is not None and provider_rank <= current:
+            if emit_events:
+                _emit_reject(
+                    cycle, submitter, request, provider,
+                    reason="rank-not-above-current",
+                    provider_rank=provider_rank, current_rank=current,
+                )
+            continue  # not strictly preferred: no preemption
+        candidate = Match(
+            customer=request,
+            provider=provider,
+            customer_rank=evaluate_rank(request, provider, policy),
+            provider_rank=provider_rank,
+            index=pid,
+        )
+        if chosen is None or candidate.sort_key > chosen[0].sort_key:
+            chosen = (candidate, preempts)
+    if chosen is None:
+        if emit_events:
+            _emit_unmatched(cycle, submitter, request, len(pool))
+        return False
+    match, preempts = chosen
+    _commit(
+        cycle, submitter, request, match.provider,
+        match.customer_rank, match.provider_rank, preempts,
+    )
+    return True
+
+
+def _batched_try_match(cycle: _Cycle, table: _ClassTable, submitter: str,
+                       request: ClassAd) -> bool:
+    """The class engine: score the request's equivalence class on first
+    sight, then let each member take the best candidate still free."""
+    stats = cycle.stats
+    stats.requests_considered += 1
+    if table.observed is None:
+        table.observed = _pool_observed_attrs(cycle.providers, cycle.policy)
+    sig = _request_signature(request, cycle.policy, table.observed)
+    state = table.classes.get(sig)
+    if state is None:
+        state = table.classes[sig] = _score(cycle, table, request, _scan(cycle, request))
+        stats.request_classes += 1
+    else:
+        stats.pairings_saved += len(state.pool)
+    stats.constraint_evaluations_saved += len(cycle.providers) - len(state.pool)
+    cands = state.cands
+    taken = cycle.taken
+    head = state.head
+    while head < len(cands) and id(cands[head][3]) in taken:
+        head += 1
+    state.head = head
+    if cycle.emit_events:
+        _replay(cycle, submitter, request, state)
+    if head == len(cands):
+        if cycle.emit_events:
+            _emit_unmatched(cycle, submitter, request, len(state.pool))
+        return False
+    customer_rank, provider_rank, _negpid, provider, preempts = cands[head]
+    _commit(cycle, submitter, request, provider, customer_rank, provider_rank, preempts)
+    return True
+
+
+def _try_match(cycle: _Cycle, table: Optional[_ClassTable], submitter: str,
+               request: ClassAd) -> bool:
+    """Serve one request: through the class engine, or — no *table* — the oracle."""
+    with _tracer.span("try_match", submitter=submitter) as span:
+        if table is None:
+            matched = _naive_try_match(cycle, submitter, request)
+        else:
+            matched = _batched_try_match(cycle, table, submitter, request)
+        span.annotate(matched=matched)
+        return matched
+
+
+def _publish(cycle: _Cycle, base: CycleStats, base_cache_hits: int, start: float) -> None:
+    """Bump the global counters and close the cycle's event bracket.
+    Callers may pass an accumulating CycleStats, so only this cycle's
+    delta over *base* is counted."""
+    stats = cycle.stats
+    requests_seen = stats.requests_considered - base.requests_considered
+    matched = stats.matched - base.matched
+    preemptions = stats.preemptions - base.preemptions
+    classes = stats.request_classes - base.request_classes
+    if _metrics.enabled:
+        _MM_CYCLES.inc()
+        _MM_REQUESTS.inc(requests_seen)
+        _MM_MATCHED.inc(matched)
+        _MM_REJECTED.inc(requests_seen - matched)
+        _MM_PREEMPTIONS.inc(preemptions)
+        _MM_PRUNED.inc(stats.constraint_evaluations_saved - base.constraint_evaluations_saved)
+        _MM_CLASSES.inc(classes)
+        _MM_VIEW_SAVED.inc(
+            stats.view_request_evals_saved + stats.view_provider_evals_saved
+            - base.view_request_evals_saved - base.view_provider_evals_saved
+        )
+        _MM_CYCLE_SECONDS.observe(time.perf_counter() - start)
+    if cycle.emit_events:
+        _events.emit(
+            "cycle.end",
+            cycle=cycle.cycle_id,
+            requests=requests_seen,
+            matched=matched,
+            rejected=requests_seen - matched,
+            preemptions=preemptions,
+            # Full AST walks avoided this cycle: evaluations served from
+            # the compiled-expression cache (0 when REPRO_NO_COMPILE=1).
+            evals_saved=_compiled_cache_hits() - base_cache_hits,
+            # Request-batching yield: classes built and (request, provider)
+            # pairings served from a shared class instead of re-evaluated
+            # (both 0 on the oracle path).
+            request_classes=classes,
+            pairings_saved=stats.pairings_saved - base.pairings_saved,
+            duration_s=time.perf_counter() - start,
+        )
 
 
 def negotiation_cycle(
@@ -461,7 +861,6 @@ def negotiation_cycle(
     index: Optional[ProviderIndex] = None,
     stats: Optional[CycleStats] = None,
     batch: Optional[bool] = None,
-    parallel: Optional[bool] = None,
 ) -> List[Assignment]:
     """Run one negotiation cycle and return the assignments.
 
@@ -483,453 +882,37 @@ def negotiation_cycle(
     from higher priority customers".
 
     ``batch`` overrides the module-level batching switch for this cycle
-    (None follows :func:`batching_enabled`).  Batched and naive cycles
-    produce identical assignments; the batched one evaluates each
-    distinct (class, provider) pairing once.
-
-    ``parallel`` likewise overrides the parallel-scoring switch (None
-    follows :func:`.parallel.parallelism_enabled`); it engages only on
-    the batched path, only when ``REPRO_SCORING_WORKERS`` configures a
-    worker pool, and only for classes whose candidate pool shows the
-    representative's Constraint enough distinct views to clear the
-    threshold — everything else scores serially, and the results are
-    identical either way.
+    (None follows :func:`batching_enabled`): False serves every request
+    through the per-pair oracle.  Both produce identical assignments;
+    the class engine evaluates each distinct (class, provider) pairing
+    once.
 
     The cycle only *identifies* matches; claiming is the parties' own
     business (separation of matching and claiming).
     """
     start = time.perf_counter()
     stats = stats if stats is not None else CycleStats()
-    # Callers may pass an accumulating CycleStats; count only this
-    # cycle's delta into the global registry.
-    base_requests = stats.requests_considered
-    base_matched = stats.matched
-    base_preemptions = stats.preemptions
-    base_pruned = stats.constraint_evaluations_saved
-    base_classes = stats.request_classes
-    base_pairings = stats.pairings_saved
-    base_view_saved = stats.view_request_evals_saved + stats.view_provider_evals_saved
+    base = replace(stats)
     use_batch = _BATCH_ENABLED if batch is None else bool(batch)
-    # Parallel scoring rides on the batched engine only: the naive path
-    # is the semantic reference and stays single-core by construction.
-    scoring = (
-        _parallel.cycle_scoring(providers, enabled=parallel) if use_batch else None
-    )
     submitters = list(requests_by_submitter.keys())
     if accountant is not None:
         submitters = accountant.negotiation_order(submitters)
     else:
         submitters.sort()
 
-    # Forensics: hoist the event-log switch into a local once per cycle, so
-    # the per-pair hot loop pays one local-variable truth test while the
-    # log is off — and records clause-level rejection attribution while on.
-    emit_events = _events.enabled
-    cycle_id = next(_CYCLE_IDS) if emit_events else None
+    cycle = _Cycle(providers, policy, allow_preemption, index, stats)
+    table = _ClassTable() if use_batch else None
+    emit_events = cycle.emit_events
     base_cache_hits = _compiled_cache_hits() if emit_events else 0
     if emit_events:
         _events.emit(
             "cycle.begin",
-            cycle=cycle_id,
+            cycle=cycle.cycle_id,
             submitters=len(submitters),
             providers=len(providers),
             indexed=index is not None,
             batched=use_batch,
         )
-
-    taken: set = set()  # ids of providers already matched this cycle
-    assignments: List[Assignment] = []
-
-    # Per-cycle provider memo: availability, preempting occupant, and
-    # CurrentRank are facts of the ad, not of the pairing — compute each
-    # once per provider per cycle instead of once per (request, provider).
-    provider_states: Dict[int, Tuple[str, Optional[str], float]] = {}
-
-    def _provider_state(provider: ClassAd) -> Tuple[str, Optional[str], float]:
-        key = id(provider)
-        state = provider_states.get(key)
-        if state is None:
-            avail = availability_of(provider)
-            if avail == "preemptable":
-                state = (avail, current_owner_of(provider) or "<unknown>", current_rank_of(provider))
-            else:
-                state = (avail, None, 0.0)
-            provider_states[key] = state
-        return state
-
-    # Identity fields recur on every rejection event — a busy cycle emits
-    # thousands of rejects, each naming the same few ads — so the ClassAd
-    # lookups behind them are memoized per cycle like the provider state.
-    provider_names: Dict[int, object] = {}
-    job_identities: Dict[int, Dict[str, object]] = {}
-
-    def _name_of(provider: ClassAd):
-        key = id(provider)
-        name = provider_names.get(key)
-        if name is None:
-            name = provider_names[key] = _provider_name(provider)
-        return name
-
-    def _identity_of(request: ClassAd) -> Dict[str, object]:
-        key = id(request)
-        ident = job_identities.get(key)
-        if ident is None:
-            ident = job_identities[key] = _job_identity(request)
-        return ident
-
-    def emit_reject(submitter: str, request: ClassAd, provider: ClassAd, **fields) -> None:
-        _events.emit(
-            "match.reject",
-            cycle=cycle_id,
-            submitter=submitter,
-            provider=_name_of(provider),
-            **_identity_of(request),
-            **fields,
-        )
-
-    def emit_constraint_reject(submitter: str, request: ClassAd, provider: ClassAd) -> None:
-        """The Section 5 diagnosis, captured at match time: which side's
-        Constraint failed, and on which top-level conjunct."""
-        attribution = attribute_failure(request, provider, policy)
-        fields: Dict[str, object] = {"reason": "constraint"}
-        if attribution is not None:
-            fields.update(
-                side=attribution.side,
-                constraint=attribution.constraint,
-                conjunct=attribution.conjunct,
-                value=attribution.value,
-            )
-            if attribution.undefined_attrs:
-                fields["undefined"] = list(attribution.undefined_attrs)
-        emit_reject(submitter, request, provider, **fields)
-
-    def emit_match(submitter: str, request: ClassAd, provider: ClassAd,
-                   customer_rank: float, provider_rank: float,
-                   preempts: Optional[str]) -> None:
-        _events.emit(
-            "match.made",
-            cycle=cycle_id,
-            submitter=submitter,
-            provider=_name_of(provider),
-            customer_rank=customer_rank,
-            provider_rank=provider_rank,
-            preempts=preempts,
-            **_identity_of(request),
-        )
-        if preempts is not None:
-            _events.emit(
-                "preemption",
-                cycle=cycle_id,
-                submitter=submitter,
-                provider=_name_of(provider),
-                evicted=preempts,
-                **_identity_of(request),
-            )
-
-    def _commit(submitter: str, request: ClassAd, provider: ClassAd,
-                customer_rank: float, provider_rank: float,
-                preempts: Optional[str]) -> None:
-        taken.add(id(provider))
-        assignments.append(
-            Assignment(
-                submitter=submitter,
-                request=request,
-                provider=provider,
-                customer_rank=customer_rank,
-                provider_rank=provider_rank,
-                preempts=preempts,
-            )
-        )
-        stats.matched += 1
-        if preempts is not None:
-            stats.preemptions += 1
-        if emit_events:
-            emit_match(submitter, request, provider, customer_rank, provider_rank, preempts)
-
-    # -- naive reference path ---------------------------------------------
-
-    def _naive_try_match(submitter: str, request: ClassAd) -> bool:
-        stats.requests_considered += 1
-        if index is not None:
-            pool = index.candidates_for(request, policy)
-            stats.constraint_evaluations_saved += len(providers) - len(pool)
-        else:
-            pool = providers
-        chosen: Optional[Tuple[Match, Optional[str]]] = None
-        for pid, provider in enumerate(pool):
-            if id(provider) in taken:
-                if emit_events:
-                    emit_reject(submitter, request, provider, reason="taken")
-                continue
-            availability, owner, current = _provider_state(provider)
-            if availability == "unavailable":
-                if emit_events:
-                    emit_reject(submitter, request, provider, reason="unavailable")
-                continue
-            preempts: Optional[str] = None
-            if availability == "preemptable":
-                if not allow_preemption:
-                    if emit_events:
-                        emit_reject(
-                            submitter, request, provider, reason="preemption-disabled"
-                        )
-                    continue
-                preempts = owner
-            if not constraints_satisfied(request, provider, policy):
-                if emit_events:
-                    emit_constraint_reject(submitter, request, provider)
-                continue
-            provider_rank = evaluate_rank(provider, request, policy)
-            if preempts is not None and provider_rank <= current:
-                if emit_events:
-                    emit_reject(
-                        submitter,
-                        request,
-                        provider,
-                        reason="rank-not-above-current",
-                        provider_rank=provider_rank,
-                        current_rank=current,
-                    )
-                continue  # not strictly preferred: no preemption
-            candidate = Match(
-                customer=request,
-                provider=provider,
-                customer_rank=evaluate_rank(request, provider, policy),
-                provider_rank=provider_rank,
-                index=pid,
-            )
-            if chosen is None or candidate.sort_key > chosen[0].sort_key:
-                chosen = (candidate, preempts)
-        if chosen is None:
-            if emit_events:
-                _events.emit(
-                    "job.unmatched",
-                    cycle=cycle_id,
-                    submitter=submitter,
-                    candidates=len(pool),
-                    **_identity_of(request),
-                )
-            return False
-        match, preempts = chosen
-        _commit(
-            submitter, request, match.provider,
-            match.customer_rank, match.provider_rank, preempts,
-        )
-        return True
-
-    # -- batched path ------------------------------------------------------
-
-    observed_attrs: Optional[Tuple[str, ...]] = None
-    classes: Dict[Tuple, _ClassState] = {}
-
-    # View memo (Section 5's *value* regularity): an expression sees of
-    # the other ad only the attributes it can read, so one evaluation
-    # serves every ad showing it the same view (see _view_key).  Both
-    # tables hold for the cycle, like the provider memo above.
-    #: attribute names read -> {id(provider): its view under those names}
-    provider_views: Dict[Tuple[str, ...], Dict[int, object]] = {}
-    #: request view under the pool-observed names -> ({id(provider): its
-    #: Constraint's verdict}, {id(provider): its Rank}) for such requests
-    provider_verdicts: Dict[object, Tuple[Dict[int, bool], Dict[int, float]]] = {}
-
-    #: attribute names read -> distinct views among all of ``providers``
-    pool_view_counts: Dict[Tuple[str, ...], int] = {}
-
-    def _distinct_views(pool: Sequence[ClassAd], reads: Tuple[str, ...], views) -> int:
-        """How many different views *pool* shows an expression reading
-        *reads*, filling *views* (the serial scorer wants them anyway)."""
-        whole = pool is providers
-        if whole and reads in pool_view_counts:
-            return pool_view_counts[reads]
-        distinct = set()
-        for provider in pool:
-            key = id(provider)
-            view = views.get(key)
-            if view is None:
-                view = views[key] = _view_key(provider, reads)
-            distinct.add(view)
-        if whole:
-            pool_view_counts[reads] = len(distinct)
-        return len(distinct)
-
-    def _build_class(rep: ClassAd) -> _ClassState:
-        """Evaluate every (class, provider) pairing once, exactly in the
-        naive path's check order, and record the outcome.
-
-        With a scoring pool attached, the per-pair evaluations fan out
-        to worker processes and come back as outcome tuples in candidate
-        order; the serial loop below is both the fallback (classes it
-        scores in few evaluations, kill-switch, worker failure) and the
-        semantic reference — outcome tuples are interchangeable between
-        the two.
-
-        The serial loop walks every pairing but evaluates per *view*:
-        the representative's Constraint once per distinct view the
-        class's providers show it, each provider's Constraint and Rank
-        once per cycle per distinct view requests show the pool.
-        """
-        if index is not None:
-            pool = index.candidates_for(rep, policy)
-        else:
-            pool = providers
-        cands: List[Tuple] = []
-        dispositions: Optional[List[Optional[Tuple]]] = (
-            [None] * len(pool) if emit_events else None
-        )
-        reads = _observed_attrs(rep, _constraint_root(rep, policy))
-        views = provider_views.setdefault(reads, {})
-        if scoring is not None:
-            # What fanning out would save is the serial loop below, which
-            # evaluates rep's Constraint once per distinct provider view,
-            # not once per pair: that count (the pair count when no two
-            # providers look alike) is what must clear the threshold.
-            # Provider-side evaluations are left out: they are per cycle,
-            # shared by every class showing the pool the same view.
-            evaluations = len(pool)
-            if evaluations >= scoring.threshold:
-                evaluations = _distinct_views(pool, reads, views)
-            outcomes = scoring.score_class(rep, pool, policy, allow_preemption, evaluations)
-            if outcomes is not None:
-                for pid, outcome in enumerate(outcomes):
-                    if outcome[0] == "ok":
-                        _, customer_rank, provider_rank, preempts = outcome
-                        cands.append(
-                            (customer_rank, provider_rank, -pid, pool[pid], preempts)
-                        )
-                    elif emit_events:
-                        dispositions[pid] = outcome
-                cands.sort(reverse=True)
-                return _ClassState(pool, cands, dispositions)
-        rep_accepts: Dict[object, bool] = {}  # provider view -> rep's Constraint holds
-        rep_view = _view_key(rep, observed_attrs)
-        rep_opaque = type(rep_view) is int
-        accepts_rep, ranks_rep = provider_verdicts.setdefault(rep_view, ({}, {}))
-        request_saved = provider_saved = opaque = 0
-        for pid, provider in enumerate(pool):
-            availability, owner, current = _provider_state(provider)
-            if availability == "unavailable":
-                if emit_events:
-                    dispositions[pid] = ("unavailable",)
-                continue
-            preempts: Optional[str] = None
-            if availability == "preemptable":
-                if not allow_preemption:
-                    if emit_events:
-                        dispositions[pid] = ("preemption-disabled",)
-                    continue
-                preempts = owner
-            key = id(provider)
-            view = views.get(key)
-            if view is None:
-                view = views[key] = _view_key(provider, reads)
-            ok = rep_accepts.get(view)
-            if ok is None:
-                ok = rep_accepts[view] = constraint_holds(rep, provider, policy)
-                if type(view) is int:
-                    opaque += 1
-            else:
-                request_saved += 1
-            if ok:
-                ok = accepts_rep.get(key)
-                if ok is None:
-                    ok = accepts_rep[key] = constraint_holds(provider, rep, policy)
-                    opaque += rep_opaque
-                else:
-                    provider_saved += 1
-            if not ok:
-                if emit_events:
-                    dispositions[pid] = ("constraint",)
-                continue
-            provider_rank = ranks_rep.get(key)
-            if provider_rank is None:
-                provider_rank = ranks_rep[key] = evaluate_rank(provider, rep, policy)
-                opaque += rep_opaque
-            else:
-                provider_saved += 1
-            if preempts is not None and provider_rank <= current:
-                if emit_events:
-                    dispositions[pid] = ("rank", provider_rank, current)
-                continue
-            cands.append(
-                (evaluate_rank(rep, provider, policy), provider_rank, -pid, provider, preempts)
-            )
-        stats.view_request_evals_saved += request_saved
-        stats.view_provider_evals_saved += provider_saved
-        stats.view_opaque_evals += opaque
-        cands.sort(reverse=True)
-        return _ClassState(pool, cands, dispositions)
-
-    def _replay(submitter: str, request: ClassAd, state: _ClassState) -> None:
-        """Reproduce the naive event stream for one member from the class
-        dispositions plus the current ``taken`` set (checked first, as
-        the naive scan does)."""
-        dispositions = state.dispositions
-        for pid, provider in enumerate(state.pool):
-            if id(provider) in taken:
-                emit_reject(submitter, request, provider, reason="taken")
-                continue
-            d = dispositions[pid]
-            if d is None:
-                continue
-            reason = d[0]
-            if reason == "constraint":
-                emit_constraint_reject(submitter, request, provider)
-            elif reason == "rank":
-                emit_reject(
-                    submitter,
-                    request,
-                    provider,
-                    reason="rank-not-above-current",
-                    provider_rank=d[1],
-                    current_rank=d[2],
-                )
-            else:
-                emit_reject(submitter, request, provider, reason=reason)
-
-    def _batched_try_match(submitter: str, request: ClassAd) -> bool:
-        nonlocal observed_attrs
-        stats.requests_considered += 1
-        if observed_attrs is None:
-            observed_attrs = _pool_observed_attrs(providers, policy)
-        sig = _request_signature(request, policy, observed_attrs)
-        state = classes.get(sig)
-        if state is None:
-            state = classes[sig] = _build_class(request)
-            stats.request_classes += 1
-        else:
-            stats.pairings_saved += len(state.pool)
-        state.members += 1
-        if index is not None:
-            stats.constraint_evaluations_saved += len(providers) - len(state.pool)
-        cands = state.cands
-        head = state.head
-        while head < len(cands) and id(cands[head][3]) in taken:
-            head += 1
-        state.head = head
-        winner = cands[head] if head < len(cands) else None
-        if emit_events:
-            _replay(submitter, request, state)
-        if winner is None:
-            if emit_events:
-                _events.emit(
-                    "job.unmatched",
-                    cycle=cycle_id,
-                    submitter=submitter,
-                    candidates=len(state.pool),
-                    **_identity_of(request),
-                )
-            return False
-        customer_rank, provider_rank, _negpid, provider, preempts = winner
-        _commit(submitter, request, provider, customer_rank, provider_rank, preempts)
-        return True
-
-    _try_match = _batched_try_match if use_batch else _naive_try_match
-
-    def try_match(submitter: str, request: ClassAd) -> bool:
-        with _tracer.span("try_match", submitter=submitter) as span:
-            matched = _try_match(submitter, request)
-            span.annotate(matched=matched)
-            return matched
 
     # Pie slices: cap the first round at each submitter's fair share of
     # the currently matchable capacity.  Rounding each share up to at
@@ -939,7 +922,7 @@ def negotiation_cycle(
     # absorb the shortfall and are served from the spin-pie round.
     quotas: Dict[str, int] = {}
     if accountant is not None and len(submitters) > 1:
-        matchable = sum(1 for p in providers if _provider_state(p)[0] != "unavailable")
+        matchable = sum(1 for p in providers if _provider_state(cycle, p)[0] != "unavailable")
         shares = accountant.fair_shares(submitters)
         capacity = matchable
         for s in submitters:
@@ -950,7 +933,7 @@ def negotiation_cycle(
             for position, s in enumerate(submitters):
                 _events.emit(
                     "fairshare.quota",
-                    cycle=cycle_id,
+                    cycle=cycle.cycle_id,
                     submitter=s,
                     position=position,
                     quota=quotas[s],
@@ -974,7 +957,7 @@ def negotiation_cycle(
                     if quota is not None and served >= quota:
                         remaining = list(requests_by_submitter[submitter][position:])
                         break
-                    if try_match(submitter, request):
+                    if _try_match(cycle, table, submitter, request):
                         served += 1
                 submitter_span.annotate(served=served)
             if remaining:
@@ -985,56 +968,11 @@ def negotiation_cycle(
         with _tracer.span("spin_pie", submitters=len(leftovers)):
             for submitter, requests in leftovers:
                 for request in requests:
-                    try_match(submitter, request)
+                    _try_match(cycle, table, submitter, request)
         cycle_span.annotate(matched=stats.matched, preemptions=stats.preemptions)
 
-    if scoring is not None:
-        stats.parallel_chunks += scoring.chunks
-        stats.parallel_pairs_scored += scoring.pairs
-        stats.parallel_fallbacks += scoring.fallbacks
-    if _metrics.enabled:
-        requests_seen = stats.requests_considered - base_requests
-        matched = stats.matched - base_matched
-        _MM_CYCLES.inc()
-        _MM_REQUESTS.inc(requests_seen)
-        _MM_MATCHED.inc(matched)
-        _MM_REJECTED.inc(requests_seen - matched)
-        _MM_PREEMPTIONS.inc(stats.preemptions - base_preemptions)
-        _MM_PRUNED.inc(stats.constraint_evaluations_saved - base_pruned)
-        _MM_CLASSES.inc(stats.request_classes - base_classes)
-        _MM_VIEW_SAVED.inc(
-            stats.view_request_evals_saved
-            + stats.view_provider_evals_saved
-            - base_view_saved
-        )
-        _MM_CYCLE_SECONDS.observe(time.perf_counter() - start)
-    if emit_events:
-        requests_seen = stats.requests_considered - base_requests
-        matched = stats.matched - base_matched
-        _events.emit(
-            "cycle.end",
-            cycle=cycle_id,
-            requests=requests_seen,
-            matched=matched,
-            rejected=requests_seen - matched,
-            preemptions=stats.preemptions - base_preemptions,
-            # Full AST walks avoided this cycle: evaluations served from
-            # the compiled-expression cache (0 when REPRO_NO_COMPILE=1).
-            evals_saved=_compiled_cache_hits() - base_cache_hits,
-            # Request-batching yield: classes built and (request, provider)
-            # pairings served from a shared class instead of re-evaluated
-            # (both 0 on the naive path).
-            request_classes=stats.request_classes - base_classes,
-            pairings_saved=stats.pairings_saved - base_pairings,
-            # Parallel-scoring yield: configured worker count and chunks
-            # dispatched this cycle (both 0 when scoring stayed serial).
-            # Like duration_s these describe *how* the cycle computed,
-            # not what it decided — differential suites normalize them.
-            workers=scoring.workers if scoring is not None else 0,
-            chunks=scoring.chunks if scoring is not None else 0,
-            duration_s=time.perf_counter() - start,
-        )
-    return assignments
+    _publish(cycle, base, base_cache_hits, start)
+    return cycle.assignments
 
 
 class Matchmaker:
@@ -1132,15 +1070,8 @@ class Matchmaker:
         allow_preemption: bool = True,
         use_index: bool = False,
         stats: Optional[CycleStats] = None,
-        parallel: Optional[bool] = None,
     ) -> List[Assignment]:
-        """One negotiation cycle over the stored provider ads.
-
-        ``parallel`` overrides the parallel-scoring switch for this
-        cycle; the worker pool itself is persistent (spawned on first
-        parallel cycle, reused by every later one — see
-        :meth:`scoring_pool`).
-        """
+        """One negotiation cycle over the stored provider ads."""
         if use_index:
             mindex = self.provider_index(provider_constraint)
             providers: Sequence[ClassAd] = mindex.providers()
@@ -1156,13 +1087,4 @@ class Matchmaker:
             allow_preemption=allow_preemption,
             index=index,
             stats=stats,
-            parallel=parallel,
         )
-
-    def scoring_pool(self):
-        """The persistent scoring worker pool this matchmaker's cycles
-        use, or None when ``REPRO_SCORING_WORKERS`` leaves scoring
-        serial.  The pool is shared process-wide (workers hold no
-        per-matchmaker state between commands) and is shut down and
-        respawned when the worker count changes."""
-        return _parallel.scoring_pool()

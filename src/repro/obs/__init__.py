@@ -47,8 +47,7 @@ layers (classads, sim), so it imports nothing from them.
 
 from __future__ import annotations
 
-import os
-
+from .._env import env_flag
 from . import export
 from .causal import (
     TRACE_SCHEMA,
@@ -65,26 +64,21 @@ from .registry import Counter, Gauge, Histogram, MetricsRegistry, RunningStats
 from .timeseries import SERIES_SCHEMA, Sample, SeriesError, SeriesStore, series
 from .tracer import NULL_SPAN, Span, Tracer
 
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
-
-
 #: The process-wide metrics registry.  Modules register metrics against
 #: it at import time; the registry survives enable/disable/reset cycles
 #: so those references never go stale.
-metrics = MetricsRegistry(enabled=_env_flag("REPRO_OBS"))
+metrics = MetricsRegistry(enabled=env_flag("REPRO_OBS"))
 
 #: The process-wide span tracer.
-tracer = Tracer(enabled=_env_flag("REPRO_OBS_TRACE"))
+tracer = Tracer(enabled=env_flag("REPRO_OBS_TRACE"))
 
-if _env_flag("REPRO_OBS_EVENTS"):
+if env_flag("REPRO_OBS_EVENTS"):
     event_log.enable()
 
-if _env_flag("REPRO_OBS_CAUSAL"):
+if env_flag("REPRO_OBS_CAUSAL"):
     causal_log.enable()
 
-if _env_flag("REPRO_OBS_SERIES"):
+if env_flag("REPRO_OBS_SERIES"):
     series.enable()
 
 

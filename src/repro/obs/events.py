@@ -307,30 +307,6 @@ def summarize(events: Iterable[Event]) -> Dict[str, Any]:
         if e.kind == "run.stats":
             robustness = dict(e.fields)
             break
-    # Worker-pool accounting (PR 7): cycle.end events carry the engaged
-    # worker/chunk counts, run.stats the parallel.* counter totals.
-    parallel: Optional[Dict[str, Any]] = None
-    run_parallel: Dict[str, Any] = {}
-    if robustness:
-        run_parallel = {
-            k: v for k, v in robustness.items() if k.startswith("parallel_")
-        }
-        robustness = {
-            k: v for k, v in robustness.items() if not k.startswith("parallel_")
-        }
-    worker_cycles = [
-        e for e in events
-        if e.kind == "cycle.end" and e.fields.get("workers")
-    ]
-    if worker_cycles or run_parallel:
-        parallel = {
-            "workers": max(
-                (e.fields.get("workers", 0) for e in worker_cycles), default=0
-            ),
-            "cycles_with_workers": len(worker_cycles),
-            "chunks": sum(e.fields.get("chunks", 0) for e in worker_cycles),
-            **run_parallel,
-        }
     return {
         "schema": "repro-events-summary/1",
         "events": len(events),
@@ -340,5 +316,4 @@ def summarize(events: Iterable[Event]) -> Dict[str, Any]:
             {"reason": reason, "count": count} for reason, count in reasons.most_common(20)
         ],
         "robustness": robustness,
-        "parallel": parallel,
     }

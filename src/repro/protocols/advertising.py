@@ -33,10 +33,10 @@ or removed — O(k log n) per sweep instead of the old O(n) scan.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
+from .._env import env_flag
 from ..classads import ClassAd
 from ..classads.ast import Literal
 from ..classads.fingerprint import payload_equal
@@ -80,16 +80,7 @@ VOLATILE_JOB_ATTRS: FrozenSet[str] = frozenset({"advertisedat"})
 # -- the refresh fast-path kill-switch (house convention) ----------------
 
 
-def _refresh_env_disabled() -> bool:
-    return os.environ.get("REPRO_NO_REFRESH", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
-_refresh_enabled = not _refresh_env_disabled()
+_refresh_enabled = not env_flag("REPRO_NO_REFRESH")
 
 
 def refresh_enabled() -> bool:
@@ -101,9 +92,7 @@ def refresh_enabled() -> bool:
 def set_refresh(enabled: Optional[bool]) -> None:
     """Override the kill-switch; ``None`` re-reads the environment."""
     global _refresh_enabled
-    _refresh_enabled = (
-        (not _refresh_env_disabled()) if enabled is None else bool(enabled)
-    )
+    _refresh_enabled = (not env_flag("REPRO_NO_REFRESH")) if enabled is None else bool(enabled)
 
 
 # -- sender-side change detection ----------------------------------------

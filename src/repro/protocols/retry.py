@@ -29,10 +29,10 @@ switch thrown demonstrates what the hardening buys (stranded work).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .._env import env_flag
 from ..obs import metrics as _metrics
 
 _RETRIES_SENT = _metrics.counter(
@@ -43,16 +43,7 @@ _RETRIES_EXHAUSTED = _metrics.counter(
 )
 
 
-def _env_disabled() -> bool:
-    return os.environ.get("REPRO_NO_RETRY", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
-_retries_enabled = not _env_disabled()
+_retries_enabled = not env_flag("REPRO_NO_RETRY")
 
 
 def retries_enabled() -> bool:
@@ -64,7 +55,7 @@ def retries_enabled() -> bool:
 def set_retries(enabled: Optional[bool]) -> None:
     """Override the kill-switch; ``None`` re-reads the environment."""
     global _retries_enabled
-    _retries_enabled = (not _env_disabled()) if enabled is None else bool(enabled)
+    _retries_enabled = (not env_flag("REPRO_NO_RETRY")) if enabled is None else bool(enabled)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ over :mod:`repro.sim.network` on this clock.
 
 Profile history: the seed's docstring claimed >95% of full-pool time in
 classad evaluation, so "no further cleverness is warranted here".  PRs
-3–8 removed that 95% (compilation, batching, parallel scoring, refresh
-ads), which inverted the profile — steady-state runs now spend their
+3–8 removed that 95% (compilation, batching, refresh ads), which
+inverted the profile — steady-state runs now spend their
 time in the kernel itself.  The soft-state design makes that load
 structural: every agent re-advertises every period, every message is a
 scheduled event, and same-instant delivery bursts are the common case,
@@ -43,10 +43,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from collections import deque
 from typing import Any, Callable, List, Optional
 
+from .._env import env_flag
 from ..obs import event_log as _event_log, metrics as _metrics
 from ..obs.causal import causal_log as _causal_log
 from ..obs.timeseries import series as _series
@@ -68,16 +68,7 @@ _NO_ARG = object()
 # kill-switch (mirrors REPRO_NO_COMPILE / REPRO_NO_BATCH / REPRO_NO_REFRESH)
 
 
-def _env_disabled() -> bool:
-    return os.environ.get("REPRO_NO_FASTKERNEL", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
-_fast_kernel = not _env_disabled()
+_fast_kernel = not env_flag("REPRO_NO_FASTKERNEL")
 
 
 def fast_kernel_enabled() -> bool:
@@ -96,7 +87,7 @@ def set_fast_kernel(enabled: Optional[bool]) -> None:
     it was born with.
     """
     global _fast_kernel
-    _fast_kernel = (not _env_disabled()) if enabled is None else bool(enabled)
+    _fast_kernel = (not env_flag("REPRO_NO_FASTKERNEL")) if enabled is None else bool(enabled)
 
 
 class EventHandle(list):

@@ -1,8 +1,8 @@
 """Unit + property tests for classad JSON serialization.
 
-This format is the parallel scoring tier's wire protocol (PR 7): every
-provider ad and class representative crosses a process boundary through
-``to_json_obj``/``from_json_obj``, so every AST node type gets explicit
+This format is what ``classads/fingerprint.py`` hashes structurally and
+sizes on the wire, what the CLI dumps and loads ads in, and what the
+collector writes its snapshots in, so every AST node type gets explicit
 round-trip coverage here, plus a hypothesis sweep asserting the decoded
 ad *evaluates identically* (``values_identical``) to the original.
 """
@@ -314,8 +314,8 @@ class TestEvaluationPreserved:
     """The wire format must be *semantically* lossless: the decoded ad
     evaluates identically to the original under ``values_identical``,
     the language's strictest comparison (distinguishes 3 from 3.0,
-    undefined from false, error reasons).  This is the property the
-    parallel scoring workers rely on."""
+    undefined from false, error reasons).  An ad loaded from a dump or
+    a snapshot must match exactly as the ad that was written did."""
 
     @given(expressions(max_leaves=20), classads(depth=4))
     @settings(max_examples=200, deadline=None)

@@ -181,7 +181,7 @@ class TestBatchedEqualsNaive:
 #: ``cycle.*`` fields that say *how* a cycle computed, not what it decided.
 VARIABLE_FIELDS = {
     "cycle", "batched", "duration_s", "evals_saved", "request_classes",
-    "pairings_saved", "workers", "chunks",
+    "pairings_saved",
 }
 
 
@@ -242,9 +242,14 @@ class TestEventStreamParity:
             acc.resource_claimed("alice")
         acc.advance_to(10.0)
         for use_index in (False, True):
-            naive = events_of(providers, grouped, False, use_index, acc)[2]
-            batched = events_of(providers, grouped, True, use_index, acc)[2]
-            assert naive == batched
+            for allow_preemption in (True, False):
+                naive = events_of(providers, grouped, False, use_index, acc,
+                                  allow_preemption)[2]
+                batched = events_of(providers, grouped, True, use_index, acc,
+                                    allow_preemption)[2]
+                assert naive == batched
+                reasons = {dict(fields).get("reason") for _, fields in naive}
+                assert ("preemption-disabled" in reasons) is (not allow_preemption)
 
     def test_cycle_end_reports_batching_yield(self):
         providers = [machine(f"m{i}") for i in range(4)]

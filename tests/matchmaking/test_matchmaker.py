@@ -1,5 +1,8 @@
 """Unit tests for the Matchmaker service and the negotiation cycle (S6)."""
 
+import inspect
+from collections import Counter
+
 import pytest
 
 from repro.classads import ClassAd
@@ -8,8 +11,10 @@ from repro.matchmaking import (
     CycleStats,
     Matchmaker,
     ProviderIndex,
+    matchmaker as mm_module,
     negotiation_cycle,
 )
+from repro.paper import figure1_machine_at, job_from
 
 
 def machine(name, memory=64, state="Unclaimed", **extra):
@@ -216,3 +221,66 @@ class TestNegotiateWithIndex:
         mm.advertise("q", ClassAd({"Type": "Query"}))  # non-machine ignored
         assignments = mm.negotiate({"alice": [request("alice")]}, use_index=True)
         assert len(assignments) == 1
+
+
+class TestStageSeams:
+    """scan -> score -> commit are module-level functions, looked up in
+    the module's globals at every call: that is what lets an outside-in
+    span recorder (or ROADMAP items 4 and 5) wrap one stage by name."""
+
+    @staticmethod
+    def figure1_pool():
+        providers = []
+        for i in range(4):
+            ad = figure1_machine_at(daytime=20 * 3600)  # night: strangers welcome
+            ad["Name"] = f"leonardo{i}.cs.wisc.edu"
+            providers.append(ad)
+        grouped = {
+            "raman": [job_from("raman") for _ in range(3)],
+            "tannenba": [job_from("tannenba") for _ in range(2)],
+            "rival": [job_from("rival")],  # untrusted: never served
+        }
+        return providers, grouped
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        for stage in ("_scan", "_score", "_commit"):
+            def counting(*args, _stage=stage, _original=getattr(mm_module, stage)):
+                calls[_stage] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(mm_module, stage, counting)
+        return calls
+
+    @pytest.mark.parametrize("use_index", [False, True])
+    def test_scan_and_score_once_per_class_commit_once_per_assignment(self, calls, use_index):
+        providers, grouped = self.figure1_pool()
+        stats = CycleStats()
+        assignments = negotiation_cycle(
+            grouped, providers, stats=stats, batch=True,
+            index=ProviderIndex(providers) if use_index else None,
+        )
+        assert stats.request_classes == 3  # one per owner: the machines read Owner
+        assert len(assignments) == 4  # rival is refused, one friend finds the pool full
+        assert calls == {"_scan": 3, "_score": 3, "_commit": 4}
+
+    def test_oracle_scans_per_request_and_never_scores(self, calls):
+        providers, grouped = self.figure1_pool()
+        assignments = negotiation_cycle(grouped, providers, batch=False)
+        assert calls == {"_scan": 6, "_commit": len(assignments)}
+
+    def test_oracle_cannot_reach_the_class_table(self):
+        assert list(inspect.signature(mm_module._naive_try_match).parameters) == [
+            "cycle", "submitter", "request",
+        ]
+        hidden = set(mm_module._ClassTable.__slots__)
+        assert hidden >= {"classes", "provider_views", "provider_verdicts"}
+        assert not hidden & set(mm_module._Cycle.__slots__)
+
+    def test_parallel_parameter_is_gone(self):
+        providers, grouped = self.figure1_pool()
+        with pytest.raises(TypeError):
+            negotiation_cycle(grouped, providers, parallel=False)
+        with pytest.raises(TypeError):
+            Matchmaker().negotiate(grouped, parallel=False)

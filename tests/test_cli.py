@@ -397,6 +397,23 @@ class TestChaosCommand:
         with pytest.raises(SystemExit):
             main(["chaos", "mayhem"])
 
+    def test_failed_setup_leaves_no_global_obs_state(self, tmp_path):
+        """An unwritable --trace path fails after obs is enabled and the
+        --out sink is open; all of it must be undone on the way out."""
+        from repro import obs
+        from repro.protocols import retries_enabled
+
+        retries_before = retries_enabled()
+        with pytest.raises(FileNotFoundError):
+            main(
+                ["chaos", "lossy", "--no-retry", "--out", str(tmp_path / "ok.jsonl"),
+                 "--trace", str(tmp_path / "no-such-dir" / "t.jsonl")]
+            )
+        for recorder in (obs.event_log, obs.causal_log, obs.series):
+            assert not recorder.enabled
+            assert recorder.sink_path is None
+        assert retries_enabled() == retries_before
+
 
 class TestLifecycleCommands:
     """The lifecycle-analytics CLI: timeline / critical-path / latency / pool."""
