@@ -91,10 +91,10 @@ class ClassAd:
         # _fpcache is owned by repro.classads.fingerprint: serialized
         # per-attribute payloads, content fingerprints, and the wire-size
         # estimate, all dropped wholesale on any mutation.
-        # _derived is owned by repro.matchmaking.matchmaker: facts read
-        # off this ad's expressions (reference closures, the request
-        # signature), one entry per kind of fact, each validated against
-        # the bindings it consulted — never dropped here, so the in-place
+        # _derived is owned by repro.matchmaking.matchmaker: the shape of
+        # this ad's self keys (what its Constraint and Rank read of itself
+        # and of the other ad), one entry validated against the bindings
+        # it consulted — never dropped here, so the in-place
         # volatile-attribute updates of a refresh leave it standing.
         self._fields: Dict[str, Expr] = {}
         self._names: Dict[str, str] = {}

@@ -181,6 +181,7 @@ def cache_stats() -> Dict[str, int]:
 def clear_cache() -> None:
     """Drop the global compiled-code memo (cold-cache benchmarking)."""
     _MEMO.clear()
+    _KEY_BY_ID.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +274,32 @@ def _compiled_for(ad: ClassAd, name: str, expr: Expr) -> Optional[_Compiled]:
 
 def _type_sig(expr: Expr) -> tuple:
     """Everything structural equality ignores but compiled code preserves:
-    literal value types (int/float/bool/...) and record field spellings."""
+    literal value types (int/float/bool/...), the sign of a float zero
+    (``0.0 == -0.0`` while ``string()`` shows it) and record field
+    spellings."""
     sig = []
     for node in walk(expr):
         t = type(node)
         if t is Literal:
-            sig.append(type(node.value).__name__)
+            value = node.value
+            if type(value) is float and value == 0.0:
+                sig.append(repr(value))
+            else:
+                sig.append(type(value).__name__)
         elif t is RecordExpr:
             sig.extend(name for name, _ in node.fields)
     return tuple(sig)
+
+
+#: Identity-first front of :func:`structural_key`: ``id(expr)`` -> (expr,
+#: key).  Agents parse a policy once and bind the same expression object
+#: into every ad they rebuild, so most calls are for an object seen
+#: before and need neither the type-signature walk nor a structural
+#: hash.  The entry holds the expression, so its id cannot be reused
+#: while the entry lives; kept small because that also keeps dead ads'
+#: expressions alive.
+_KEY_BY_ID: Dict[int, tuple] = {}
+_KEY_BY_ID_LIMIT = 512
 
 
 def structural_key(expr: Expr) -> tuple:
@@ -292,10 +310,17 @@ def structural_key(expr: Expr) -> tuple:
     evaluate to identical values in every environment — which is exactly
     what AST equality alone cannot promise (``Literal(3) == Literal(3.0)``
     while ``is``/``isInteger`` distinguish them).  The matchmaker's
-    request-batching layer keys its equivalence classes on this, so the
-    guarantee is load-bearing beyond the compile cache.
+    self keys are built on this, so the guarantee is load-bearing beyond
+    the compile cache.
     """
-    return (expr, _type_sig(expr))
+    entry = _KEY_BY_ID.get(id(expr))
+    if entry is not None and entry[0] is expr:
+        return entry[1]
+    key = (expr, _type_sig(expr))
+    if len(_KEY_BY_ID) >= _KEY_BY_ID_LIMIT:
+        _KEY_BY_ID.clear()
+    _KEY_BY_ID[id(expr)] = (expr, key)
+    return key
 
 
 def _memo_compile(expr: Expr) -> Optional[_Compiled]:

@@ -22,15 +22,17 @@ from .states import JobState
 
 _job_ids = itertools.count(1)
 
-#: Parsed Constraint/Rank expressions shared across every request ad
-#: built from the same source text — jobs overwhelmingly use the two
-#: defaults, and re-advertisement rebuilds the ad every period.  Shared
-#: Expr objects also let the refresh fast path's change detector answer
-#: by identity.  Bounded defensively; expressions are immutable.
+#: Parsed Constraint/Rank expressions shared across every ad built from
+#: the same source text — jobs overwhelmingly use the two defaults, a
+#: pool's machines a handful of owner policies, and re-advertisement
+#: rebuilds the ad every period.  Shared Expr objects also let the
+#: refresh fast path's change detector and the matchmaker's
+#: per-expression memos answer by identity.  Bounded defensively;
+#: expressions are immutable.
 _policy_memo: dict = {}
 
 
-def _parsed_policy(source: str):
+def parsed_policy(source: str):
     expr = _policy_memo.get(source)
     if expr is None:
         if len(_policy_memo) > 4096:
@@ -119,8 +121,8 @@ class Job:
                 "AdvertisedAt": now,
             }
         )
-        ad["Constraint"] = _parsed_policy(self.constraint)
-        ad["Rank"] = _parsed_policy(self.rank)
+        ad["Constraint"] = parsed_policy(self.constraint)
+        ad["Rank"] = parsed_policy(self.rank)
         return ad
 
 

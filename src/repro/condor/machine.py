@@ -55,7 +55,7 @@ from ..protocols import (
 from ..protocols.advertising import ADV_FULL_ADS, ADV_REFRESHES
 from ..protocols.claiming import ClaimVerdict
 from ..sim import Network, Simulator, Trace
-from .jobs import REFERENCE_MIPS
+from .jobs import REFERENCE_MIPS, parsed_policy
 from .messages import JobCompleted, JobEvicted, KeepAlive, LeaseAck, NoticeAck
 from .states import Activity, MachineState, check_machine_transition
 
@@ -340,8 +340,8 @@ class MachineAgent:
         src = (self.spec.constraint, self.spec.rank)
         if src != self._policy_src:
             self._policy_src = src
-            self._constraint_expr = parse(src[0])
-            self._rank_expr = parse(src[1])
+            self._constraint_expr = parsed_policy(src[0])
+            self._rank_expr = parsed_policy(src[1])
         if self.state is MachineState.OWNER:
             # Owner present: the START policy is unsatisfiable, full stop.
             ad["Constraint"] = _FALSE_EXPR

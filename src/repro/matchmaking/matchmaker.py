@@ -27,16 +27,18 @@ to it — same matches, same preemptions, same tie-breaks, and (with the
 event log on) the same forensic event stream.
 
 **The scorer** exploits Section 5's observation that ad lists "exhibit a
-high degree of regularity", twice.  Requests: a queue is thousands of
-jobs with a handful of distinct Requirements/Rank combinations, so
-requests are grouped into behavioural equivalence classes (see
-:func:`_request_signature`), each settled against the pool once and
-consumed by its members under the per-cycle ``taken`` set.  Values: an
-expression can tell two ads apart only through the attributes it can
-read, so a class representative's Constraint is evaluated once per
-distinct *view* the providers show it (see :func:`_view_key`), and each
-provider's Constraint and Rank once per cycle per distinct view
-requests show the pool.
+high degree of regularity" through one notion, used on both sides.  An
+evaluation of one ad's Constraint or Rank against another ad depends on
+the evaluating ad's **self key** for that root — the attributes of its
+own the root can transitively read (see :func:`_self_keys`) — and on the
+**view** the other ad shows it (see :func:`_view_key`), and on nothing
+else.  Requests with equal self keys showing the pool equal views are one
+equivalence class, settled against the pool once and consumed by its
+members under the per-cycle ``taken`` set; and each of the four
+evaluations a pairing needs is made once per cycle per distinct (self
+key, view), whether the evaluator is a class representative or a
+provider — a pool of 320 Figure-1 workstations is some 25 distinct
+Constraints and 2 distinct Ranks.
 
 **The stages** are module-level functions over one per-cycle record
 (:class:`_Cycle`): :func:`_scan` picks a request's candidate providers
@@ -44,7 +46,8 @@ requests show the pool.
 them, :func:`_commit` records an assignment and :func:`_replay`
 reproduces the oracle's per-member events from the class dispositions.
 The oracle shares ``_scan`` and ``_commit`` and cannot reach the class
-table or the view memos, which live apart in :class:`_ClassTable`.
+table or the table of evaluations, which live apart in
+:class:`_ClassTable`.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .._env import env_flag
 from ..classads import ClassAd
@@ -98,7 +101,7 @@ _MM_CLASSES = _metrics.counter(
 )
 _MM_VIEW_SAVED = _metrics.counter(
     "matchmaker.view_evals_saved",
-    "Constraint/Rank evaluations served from another ad's identical view",
+    "Constraint/Rank evaluations served from an equal (self key, view) evaluated earlier",
 )
 _MM_CYCLE_SECONDS = _metrics.histogram(
     "matchmaker.cycle_seconds", "wall-clock duration of one negotiation cycle"
@@ -174,51 +177,74 @@ class CycleStats:
     constraint_evaluations_saved: int = 0  # by index pre-filtering
     request_classes: int = 0  # equivalence classes built (0 on the oracle path)
     pairings_saved: int = 0  # (request, provider) pairings served from a class
-    # View memo: evaluations a class build did not make
-    # because an ad showing the expression the same view was already
-    # evaluated — the representative's Constraint across providers, and
-    # providers' Constraint/Rank across request classes — and those it
-    # made per pair because the view was opaque (an observed attribute
-    # bound to an expression).
+    # Evaluations a class build did not make because the same (self key
+    # of the evaluating ad, view of the other ad) had been evaluated this
+    # cycle — the representative's Constraint and Rank, a provider's
+    # Constraint and Rank — and those it made per pair because the other
+    # ad's view was opaque (an observed attribute bound to an expression).
     view_request_evals_saved: int = 0
     view_provider_evals_saved: int = 0
     view_opaque_evals: int = 0
 
 
-# -- request equivalence ------------------------------------------------------
+# -- self keys and views ------------------------------------------------------
 #
-# Two requests are behaviourally interchangeable inside a cycle when every
-# expression the matching algorithm can possibly evaluate against them is
-# structurally identical (refined by literal types — the compile module's
-# memo key).  That covers (a) the request's own Constraint and Rank plus
-# every self/bare attribute they transitively read, and (b) every request
-# attribute some provider in the pool reads through ``other.`` (or a bare
-# name the provider doesn't define itself) — providers constrain customers
-# too, so the signature must close over what the *pool* observes, not just
-# what the request mentions.
+# One evaluation — *root* (Constraint or Rank) of ad A against ad B — can
+# depend on two things only: the attributes of A itself that the root
+# transitively reads through ``self.`` and bare references (A's **self
+# key** for that root), and the attributes of B it reads through
+# ``other.`` or a bare name A does not define (B's **view** under those
+# names).  Ads with equal self keys are the same evaluator; ads with equal
+# views are the same subject; the scorer makes one evaluation per distinct
+# (self key, view) and every grouping in this module is built from those
+# two notions — a request equivalence class *is* (Constraint self key,
+# Rank self key, what the request shows the pool).
 
-_REFS_MEMO: Dict[Expr, frozenset] = {}
-_REFS_LIMIT = 2048
+#: Small integers for the things keys are made of — expressions (by
+#: ``structural_key``) and the fixed parts of self keys — so that keys
+#: hash and compare in a few machine words.  Numbers are never reused:
+#: overflowing forgets who had which, so ads keyed before and after stop
+#: sharing (until their memos are rebuilt) but can never be conflated.
+_INTERNED: Dict[object, int] = {}
+_INTERN_LIMIT = 512
+_INTERN_IDS = itertools.count()
+#: interned expression -> its ``external_references``
+_REFS: Dict[int, frozenset] = {}
 
 
-def _expr_refs(expr: Expr) -> frozenset:
-    """Memoized :func:`external_references`.
+def _intern(value) -> int:
+    ident = _INTERNED.get(value)
+    if ident is None:
+        if len(_INTERNED) >= _INTERN_LIMIT:
+            _INTERNED.clear()
+            _REFS.clear()
+        ident = _INTERNED[value] = next(_INTERN_IDS)
+    return ident
 
-    Keyed structurally: equal ASTs reference equal attribute sets even
-    when their literal *types* differ, so the conflation that forces
-    ``structural_key`` to carry a type signature is harmless here.
-    """
-    refs = _REFS_MEMO.get(expr)
-    if refs is None:
-        if len(_REFS_MEMO) >= _REFS_LIMIT:
-            _REFS_MEMO.clear()
-        refs = frozenset(external_references(expr))
-        _REFS_MEMO[expr] = refs
-    return refs
+
+#: ``id(expr)`` -> (expr, interned structural id, external references):
+#: identity first, because agents bind one parsed policy object into every
+#: ad they rebuild.  The entry holds the expression (so the id stays its
+#: own) and is checked with ``is``.
+_EXPR_FACTS: Dict[int, Tuple[Expr, int, frozenset]] = {}
+_EXPR_FACTS_LIMIT = 512
+
+
+def _expr_facts(expr: Expr) -> Tuple[Expr, int, frozenset]:
+    entry = _EXPR_FACTS.get(id(expr))
+    if entry is None or entry[0] is not expr:
+        ident = _intern(structural_key(expr))
+        refs = _REFS.get(ident)
+        if refs is None:
+            refs = _REFS[ident] = frozenset(external_references(expr))
+        if len(_EXPR_FACTS) >= _EXPR_FACTS_LIMIT:
+            _EXPR_FACTS.clear()
+        entry = _EXPR_FACTS[id(expr)] = (expr, ident, refs)
+    return entry
 
 
 #: Values many ads derive alike (a pool's providers share a handful of
-#: policies, a queue's requests a handful of signatures) are stored once.
+#: policies, a queue's requests a handful of shapes) are stored once.
 #: Sharing is only an economy, so overflowing just starts over.
 _SHARED: Dict[object, object] = {}
 _SHARED_LIMIT = 256
@@ -230,101 +256,125 @@ def _shared(value):
     return _SHARED.setdefault(value, value)
 
 
-#: In a memo entry's bindings: "some literal, whichever" — the fact was
-#: read off the name being bound to a literal, not off the literal's value.
+#: In a shape's bindings: "some literal, whichever" — the shape was read
+#: off the name being bound to a literal, not off the literal's value.
 _ANY_LITERAL = object()
 
 
-def _derived(ad: ClassAd, compute, args):
-    """``compute(ad, args)`` memoized on *ad*, one entry per *compute*.
+class _Roots(NamedTuple):
+    """What one group of root attributes — an ad's Constraint, its Rank, or
+    the attributes it shows the pool — can reach."""
 
-    *compute* returns ``(value, names, bindings)``: every canonical name
-    of *ad* the value was read off, and what each was bound to.  The
-    entry is served while each of those names is still bound to the very
-    same expression object (``None`` for absent) — or, where *compute*
-    recorded :data:`_ANY_LITERAL`, to any :class:`Literal`.  Ads
-    live in the collector across cycles and a refresh rebinds only
-    their volatile literals in place, so steady-state cycles pay this
-    check instead of the walk.  An entry is a few words (values and
-    names are shared between ads) and a newer one for the same *compute*
-    replaces it: the memo lives and dies with the ad it describes.
-    """
-    entries = ad._derived or ()
-    for entry in entries:
-        if entry[0] is compute:
-            if entry[1] == args:
-                fields = ad.bindings()
-                for name, bound in zip(entry[3], entry[4]):
-                    current = fields.get(name)
-                    if current is bound:
-                        continue
-                    if bound is not _ANY_LITERAL or type(current) is not Literal:
-                        break
-                else:
-                    return entry[2]
-            entries = tuple(e for e in entries if e is not entry)
-            break
-    value, names, bindings = compute(ad, args)
-    value = _shared(value)
-    ad._derived = entries + ((compute, args, value, _shared(tuple(names)), tuple(bindings)),)
-    return value
+    #: Interned fixed part of the self key: every own attribute the roots
+    #: transitively read that is bound to an expression (as its interned
+    #: ``structural_key``) or absent (``None``; absence is behaviour too:
+    #: it evaluates to ``undefined``), plus the names bound to literals.
+    fixed: int
+    #: Those literal names, whose values complete the key and are re-read
+    #: every cycle, because a ``Refresh`` rebinds them in place.
+    literals: Tuple[str, ...]
+    #: Attributes of the *other* ad the roots can read, sorted: ``other.X``
+    #: always, a bare ``X`` only while the ad does not define ``X`` itself.
+    reads: Tuple[str, ...]
 
 
-def _walk_observed(ad: ClassAd, roots: Tuple[str, ...]):
-    observed: Set[str] = set()
-    consulted: Dict[str, object] = {}  # canonical name -> binding relied on
-    stack: List[str] = list(roots)
+class _Shape(NamedTuple):
+    """Everything about an ad's keys that survives a refresh."""
+
+    constraint: _Roots
+    rank: _Roots
+    #: Rooted at the request attributes the pool's policies read (none
+    #: for a provider).
+    shown: _Roots
+    #: Some shown attribute is bound to an expression: it would be
+    #: evaluated in the ad's own environment, where it can read
+    #: arbitrarily more — the other ad included — so no evaluation
+    #: against this ad can be shared between evaluators.
+    opaque: bool
+
+
+def _walk_shape(ad: ClassAd, policy: MatchPolicy, shown: Tuple[str, ...]):
+    """One closure walk per root group — Constraint, Rank, *shown* — over
+    *ad*'s own attributes (a Constraint referencing the ad's ``MyPolicy``
+    attribute reads whatever *that* expression reads): the
+    :class:`_Shape`, and the names consulted with what each was bound to."""
     fields = ad.bindings()
-    while stack:
-        name = stack.pop()
-        if name in consulted:
-            continue
-        expr = fields.get(name)
-        if type(expr) is Literal:
-            consulted[name] = _ANY_LITERAL  # reads nothing, whatever its value
-            continue
-        consulted[name] = expr
-        if expr is None:
-            continue
-        for scope, ref in _expr_refs(expr):
-            if scope == "other":
-                observed.add(ref)
-            elif scope == "self" or ref in fields:
-                stack.append(ref)
-            else:
-                # Bare and undefined here, so it falls through to the
-                # other ad — until this ad defines it.
-                observed.add(ref)
-                consulted[ref] = None
-    return tuple(sorted(observed)), consulted.keys(), consulted.values()
-
-
-def _observed_attrs(ad: ClassAd, roots: Tuple[str, ...]) -> Tuple[str, ...]:
-    """Attributes of the *other* ad that *ad*'s *roots* can read, sorted.
-
-    *roots* are canonical names of attributes of *ad* — a provider's
-    Constraint and Rank, a request's Constraint.  Transitive: a
-    Constraint referencing the ad's own ``MyPolicy`` attribute observes
-    whatever *that* expression reads.  ``other.X`` always reads the other
-    ad; a bare ``X`` only falls through to it when *ad* does not define
-    ``X`` itself.
-    """
-    return _derived(ad, _walk_observed, roots)
-
-
-def _constraint_root(ad: ClassAd, policy: MatchPolicy) -> Tuple[str, ...]:
-    """The canonical name of *ad*'s Constraint attribute, if it has one."""
+    # Which alias names the Constraint is part of the shape.
+    consulted: Dict[str, object] = {
+        alias.lower(): fields.get(alias.lower()) for alias in policy.constraint_attrs
+    }
     cname = policy.constraint_of(ad)
-    return () if cname is None else (cname.lower(),)
+    groups = []
+    for roots in (
+        () if cname is None else (cname.lower(),),
+        (policy.rank_attr.lower(),),
+        shown,
+    ):
+        closure: Dict[str, object] = {}  # own name -> expression id, None, or _ANY_LITERAL
+        observed: Set[str] = set()
+        stack: List[str] = list(roots)
+        while stack:
+            name = stack.pop()
+            if name in closure:
+                continue
+            expr = fields.get(name)
+            if type(expr) is Literal:
+                # Reads nothing, whatever its value (a refresh rebinds it).
+                closure[name] = consulted[name] = _ANY_LITERAL
+                continue
+            consulted[name] = expr
+            if expr is None:
+                closure[name] = None
+                continue
+            _, closure[name], refs = _expr_facts(expr)
+            for scope, ref in refs:
+                if scope == "other":
+                    observed.add(ref)
+                elif scope == "self" or ref in fields:
+                    stack.append(ref)
+                else:
+                    # Bare and undefined here, so it falls through to the
+                    # other ad — until this ad defines it.
+                    observed.add(ref)
+                    closure[ref] = consulted[ref] = None
+        names = sorted(closure)
+        literals = tuple(n for n in names if closure[n] is _ANY_LITERAL)
+        fixed = tuple((n, closure[n]) for n in names if closure[n] is not _ANY_LITERAL)
+        groups.append(
+            _Roots(_intern((len(groups), fixed, literals)), literals, tuple(sorted(observed)))
+        )
+    opaque = any(type(fields.get(name)) not in (Literal, type(None)) for name in shown)
+    return _Shape(*groups, opaque), tuple(consulted), tuple(consulted.values())
 
 
-def _pool_observed_attrs(providers: Sequence[ClassAd], policy: MatchPolicy) -> Tuple[str, ...]:
-    """Request attributes any provider's Constraint/Rank can read, sorted."""
-    observed: Set[str] = set()
-    rank_root = (policy.rank_attr.lower(),)
-    for provider in providers:
-        observed.update(_observed_attrs(provider, _constraint_root(provider, policy) + rank_root))
-    return tuple(sorted(observed))
+def _shape(ad: ClassAd, policy: MatchPolicy, shown: Tuple[str, ...] = ()) -> _Shape:
+    """*ad*'s :class:`_Shape`, memoized on it.
+
+    The memo is the ad's single ``_derived`` entry ``(args, shape, names,
+    bindings)``: served while each name the walk consulted is still bound
+    to the very same expression object (``None`` for absent) — or, where
+    the walk recorded :data:`_ANY_LITERAL`, to any :class:`Literal`.  Ads
+    live in the collector across cycles and a refresh rebinds only their
+    volatile literals, so steady-state cycles pay this check instead of
+    the walk.  An entry is a few words (shapes and names are shared
+    between ads) and lives and dies with the ad it describes.
+    """
+    if ad._derived is not None:
+        args, shape, names, bindings = ad._derived
+        if args == (policy, shown):
+            fields = ad.bindings()
+            for name, bound in zip(names, bindings):
+                current = fields.get(name)
+                if current is bound:
+                    continue
+                if bound is not _ANY_LITERAL or type(current) is not Literal:
+                    break
+            else:
+                return shape
+    shape, names, bindings = _walk_shape(ad, policy, shown)
+    shape = _shared(shape)
+    ad._derived = ((policy, shown), shape, _shared(names), bindings)
+    return shape
 
 
 def _view_key(ad: ClassAd, names: Tuple[str, ...]):
@@ -338,7 +388,10 @@ def _view_key(ad: ClassAd, names: Tuple[str, ...]):
     a type signature); the sign of a zero is, because ``string()`` shows
     it.  A name bound to anything but a literal would be evaluated in
     *ad*'s own environment, where it can read arbitrarily more: the view
-    is then *opaque*, keyed by the ad's identity and shared with nothing.
+    is then *opaque* — ``None``, shared with nothing.
+
+    The one literal normalisation in this module: self keys read their
+    literal names through it too.
     """
     fields = ad.bindings()
     key = []
@@ -353,52 +406,28 @@ def _view_key(ad: ClassAd, names: Tuple[str, ...]):
                 value = repr(value)
             key.append((kind, value))
         else:
-            return id(ad)
+            return None
     return tuple(key)
 
 
-def _compute_signature(request: ClassAd, args):
-    policy, observed = args
-    cname = policy.constraint_of(request)
-    visited: Dict[str, Optional[Tuple]] = {}
-    # Which alias names the Constraint is part of the signature.
-    consulted: Dict[str, object] = {
-        alias.lower(): request.lookup(alias) for alias in policy.constraint_attrs
-    }
-    stack: List[str] = [policy.rank_attr.lower()]
-    if cname is not None:
-        stack.append(cname.lower())
-    stack.extend(observed)
-    while stack:
-        name = stack.pop()
-        if name in visited:
-            continue
-        expr = consulted[name] = request.lookup(name)
-        if expr is None:
-            visited[name] = None
-            continue
-        visited[name] = structural_key(expr)
-        for scope, ref in _expr_refs(expr):
-            if scope != "other":
-                stack.append(ref)
-    signature = (None if cname is None else cname.lower(), frozenset(visited.items()))
-    return signature, consulted.keys(), consulted.values()
+def _self_keys(ad: ClassAd, policy: MatchPolicy, shown: Tuple[str, ...] = ()):
+    """*ad*'s ``(Constraint self key, Rank self key, shown key, shape)``.
 
-
-def _request_signature(
-    request: ClassAd, policy: MatchPolicy, observed: Tuple[str, ...]
-) -> Tuple:
-    """The equivalence-class key for *request* against this cycle's pool.
-
-    Maps every attribute the cycle can evaluate on the request — its
-    Constraint/Rank, their transitive self/bare references, and the
-    pool-observed attributes — to its expression's ``structural_key``
-    (None when absent; absence is behaviour too: it evaluates to
-    ``undefined``).  Equal signatures imply identical constraint, rank,
-    and provider-side evaluations against every provider, hence
-    identical candidate lists.
+    A self key is the shape's fixed part plus the current values of its
+    literal names.  Equal Constraint (Rank) self keys: the two ads'
+    Constraints (Ranks) evaluate alike against every ad showing them the
+    same view.  Equal shown keys: the two ads look alike to every
+    expression reading only *shown* — including through shown attributes
+    bound to expressions, whose own closures the key covers.
     """
-    return _derived(request, _compute_signature, (policy, observed))
+    shape = _shape(ad, policy, shown)
+    (c_fixed, c_literals, _), (r_fixed, r_literals, _), (s_fixed, s_literals, _), _ = shape
+    return (
+        (c_fixed, _view_key(ad, c_literals)),
+        (r_fixed, _view_key(ad, r_literals)),
+        (s_fixed, _view_key(ad, s_literals)),
+        shape,
+    )
 
 
 class _ClassState:
@@ -457,26 +486,58 @@ class _Cycle:
         self.job_identities: Dict[int, Dict[str, object]] = {}
 
 
+#: A view no evaluation may be shared through (see :func:`_view_key`).
+_OPAQUE = -1
+
+
 class _ClassTable:
     """The class engine's per-cycle tables; the oracle never sees one.
 
-    The view memo is Section 5's *value* regularity: an expression sees
-    of the other ad only the attributes it can read, so one evaluation
-    serves every ad showing it the same view (see :func:`_view_key`).
+    Section 5's regularity, taken per evaluation: ``verdicts`` holds one
+    entry per distinct (evaluator's self key, subject's view), whoever
+    the evaluator and the subject are — a class representative and a
+    provider, or a provider and a class.  Keys are looked up, never
+    iterated: no outcome may depend on their order.
     """
 
-    __slots__ = ("observed", "classes", "provider_views", "provider_verdicts")
+    __slots__ = ("observed", "classes", "ids", "groups", "rows", "verdicts")
 
     def __init__(self):
         #: Request attributes some provider's Constraint/Rank can read;
-        #: computed when the first request is served.
+        #: computed, with ``groups``, when the first request is served.
         self.observed: Optional[Tuple[str, ...]] = None
-        self.classes: Dict[Tuple, _ClassState] = {}  # request signature -> class
-        #: attribute names read -> {id(provider): its view under those names}
-        self.provider_views: Dict[Tuple[str, ...], Dict[int, object]] = {}
-        #: request view under ``observed`` -> ({id(provider): its
-        #: Constraint's verdict}, {id(provider): its Rank}) for such requests
-        self.provider_verdicts: Dict[object, Tuple[Dict[int, bool], Dict[int, float]]] = {}
+        self.classes: Dict[Tuple[int, int, int], _ClassState] = {}  # request signature -> class
+        #: self key or view -> this cycle's small integer for it
+        self.ids: Dict[object, int] = {}
+        #: id(provider) -> ids of its Constraint and Rank self keys
+        self.groups: Dict[int, Tuple[int, int]] = {}
+        #: (names a class's Constraint reads of a provider, names its Rank
+        #: reads) -> {id(provider): everything the scoring loop asks of
+        #: that provider, see :func:`_provider_row`}
+        self.rows: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], Dict[int, Tuple]] = {}
+        #: id of the evaluating ad's Constraint or Rank self key -> {id of
+        #: the other ad's view: the verdict, or the rank}
+        self.verdicts: Dict[int, Dict[int, object]] = {}
+
+    def id_of(self, key) -> int:
+        ids = self.ids
+        return ids.setdefault(key, len(ids))
+
+
+def _survey(cycle: _Cycle, table: _ClassTable) -> None:
+    """Once per cycle, over the whole pool: which group each provider's
+    Constraint and Rank evaluate in, and what the pool reads of requests."""
+    policy = cycle.policy
+    groups = table.groups
+    observed: Set[str] = set()
+    surveyed: Set[int] = set()  # shapes are shared objects: union each once
+    for provider in cycle.providers:
+        constraint, rank, _, shape = _self_keys(provider, policy)
+        groups[id(provider)] = (table.id_of(constraint), table.id_of(rank))
+        if id(shape) not in surveyed:
+            surveyed.add(id(shape))
+            observed.update(shape.constraint.reads, shape.rank.reads)
+    table.observed = tuple(sorted(observed))
 
 
 def _provider_state(cycle: _Cycle, provider: ClassAd) -> Tuple[str, Optional[str], float]:
@@ -490,6 +551,22 @@ def _provider_state(cycle: _Cycle, provider: ClassAd) -> Tuple[str, Optional[str
             state = (avail, None, 0.0)
         cycle.provider_states[key] = state
     return state
+
+
+def _provider_row(cycle: _Cycle, table: _ClassTable, provider: ClassAd,
+                  constraint_reads: Tuple[str, ...], rank_reads: Tuple[str, ...]) -> Tuple:
+    """One provider as the scoring loop sees it, for classes whose
+    Constraint reads *constraint_reads* of a provider and whose Rank
+    reads *rank_reads*: its state, the ids of the two views it shows such
+    a class (:data:`_OPAQUE` where a view is opaque), and the verdicts
+    so far of its own Constraint and Rank self keys.  Built once per
+    cycle, so the loop pays one lookup per pairing."""
+    views = [
+        _OPAQUE if view is None else table.id_of(view)
+        for view in (_view_key(provider, constraint_reads), _view_key(provider, rank_reads))
+    ]
+    verdicts = [table.verdicts.setdefault(key, {}) for key in table.groups[id(provider)]]
+    return (*_provider_state(cycle, provider), *views, *verdicts)
 
 
 # -- forensic events ----------------------------------------------------------
@@ -566,15 +643,18 @@ def _scan(cycle: _Cycle, request: ClassAd) -> Sequence[ClassAd]:
     return cycle.providers
 
 
-def _score(cycle: _Cycle, table: _ClassTable, rep: ClassAd,
-           pool: Sequence[ClassAd]) -> _ClassState:
+def _score(cycle: _Cycle, table: _ClassTable, rep: ClassAd, pool: Sequence[ClassAd],
+           rep_ids: Tuple[int, int, int], rep_shape: _Shape) -> _ClassState:
     """Stage 2, class score: settle every (class, provider) pairing once,
     exactly in the oracle's check order, and record the outcome.
 
-    The loop walks every pairing but evaluates per *view*: the
-    representative's Constraint once per distinct view the class's
-    providers show it, each provider's Constraint and Rank once per
-    cycle per distinct view requests show the pool.
+    The loop walks every pairing but evaluates per *group*: each of the
+    four evaluations is made once per cycle per distinct (evaluating
+    ad's self key, other ad's view) and otherwise read from
+    ``table.verdicts`` — the representative's Constraint and Rank shared
+    with every class of equal self key, a provider's with every provider
+    of equal self key.  Where the other ad's view is opaque the pair is
+    evaluated as the oracle would, and nothing is recorded.
     """
     policy = cycle.policy
     allow_preemption = cycle.allow_preemption
@@ -582,15 +662,20 @@ def _score(cycle: _Cycle, table: _ClassTable, rep: ClassAd,
     dispositions: Optional[List[Optional[Tuple]]] = (
         [None] * len(pool) if cycle.emit_events else None
     )
-    reads = _observed_attrs(rep, _constraint_root(rep, policy))
-    views = table.provider_views.setdefault(reads, {})
-    rep_accepts: Dict[object, bool] = {}  # provider view -> rep's Constraint holds
-    rep_view = _view_key(rep, table.observed)
-    rep_opaque = type(rep_view) is int
-    accepts_rep, ranks_rep = table.provider_verdicts.setdefault(rep_view, ({}, {}))
+    rep_constraint, rep_rank, rep_view = rep_ids
+    if rep_shape.opaque:
+        rep_view = _OPAQUE
+    rep_verdicts = table.verdicts.setdefault(rep_constraint, {})
+    rep_ranks = table.verdicts.setdefault(rep_rank, {})
+    reads = rep_shape.constraint.reads, rep_shape.rank.reads
+    rows = table.rows.setdefault(reads, {})
     request_saved = provider_saved = opaque = 0
     for pid, provider in enumerate(pool):
-        availability, owner, current = _provider_state(cycle, provider)
+        row = rows.get(id(provider))
+        if row is None:
+            row = rows[id(provider)] = _provider_row(cycle, table, provider, *reads)
+        (availability, owner, current, constraint_view, rank_view,
+         verdicts, ranks) = row
         if availability == "unavailable":
             if dispositions is not None:
                 dispositions[pid] = ("unavailable",)
@@ -602,41 +687,52 @@ def _score(cycle: _Cycle, table: _ClassTable, rep: ClassAd,
                     dispositions[pid] = ("preemption-disabled",)
                 continue
             preempts = owner
-        key = id(provider)
-        view = views.get(key)
-        if view is None:
-            view = views[key] = _view_key(provider, reads)
-        ok = rep_accepts.get(view)
-        if ok is None:
-            ok = rep_accepts[view] = constraint_holds(rep, provider, policy)
-            if type(view) is int:
-                opaque += 1
+        if constraint_view == _OPAQUE:
+            ok = constraint_holds(rep, provider, policy)
+            opaque += 1
         else:
-            request_saved += 1
-        if ok:
-            ok = accepts_rep.get(key)
+            ok = rep_verdicts.get(constraint_view)
             if ok is None:
-                ok = accepts_rep[key] = constraint_holds(provider, rep, policy)
-                opaque += rep_opaque
+                ok = rep_verdicts[constraint_view] = constraint_holds(rep, provider, policy)
             else:
-                provider_saved += 1
+                request_saved += 1
+        if ok:
+            if rep_view == _OPAQUE:
+                ok = constraint_holds(provider, rep, policy)
+                opaque += 1
+            else:
+                ok = verdicts.get(rep_view)
+                if ok is None:
+                    ok = verdicts[rep_view] = constraint_holds(provider, rep, policy)
+                else:
+                    provider_saved += 1
         if not ok:
             if dispositions is not None:
                 dispositions[pid] = ("constraint",)
             continue
-        provider_rank = ranks_rep.get(key)
-        if provider_rank is None:
-            provider_rank = ranks_rep[key] = evaluate_rank(provider, rep, policy)
-            opaque += rep_opaque
+        if rep_view == _OPAQUE:
+            provider_rank = evaluate_rank(provider, rep, policy)
+            opaque += 1
         else:
-            provider_saved += 1
+            provider_rank = ranks.get(rep_view)
+            if provider_rank is None:
+                provider_rank = ranks[rep_view] = evaluate_rank(provider, rep, policy)
+            else:
+                provider_saved += 1
         if preempts is not None and provider_rank <= current:
             if dispositions is not None:
                 dispositions[pid] = ("rank", provider_rank, current)
             continue
-        cands.append(
-            (evaluate_rank(rep, provider, policy), provider_rank, -pid, provider, preempts)
-        )
+        if rank_view == _OPAQUE:
+            customer_rank = evaluate_rank(rep, provider, policy)
+            opaque += 1
+        else:
+            customer_rank = rep_ranks.get(rank_view)
+            if customer_rank is None:
+                customer_rank = rep_ranks[rank_view] = evaluate_rank(rep, provider, policy)
+            else:
+                request_saved += 1
+        cands.append((customer_rank, provider_rank, -pid, provider, preempts))
     stats = cycle.stats
     stats.view_request_evals_saved += request_saved
     stats.view_provider_evals_saved += provider_saved
@@ -772,11 +868,14 @@ def _batched_try_match(cycle: _Cycle, table: _ClassTable, submitter: str,
     stats = cycle.stats
     stats.requests_considered += 1
     if table.observed is None:
-        table.observed = _pool_observed_attrs(cycle.providers, cycle.policy)
-    sig = _request_signature(request, cycle.policy, table.observed)
+        _survey(cycle, table)
+    constraint, rank, shown, shape = _self_keys(request, cycle.policy, table.observed)
+    sig = (table.id_of(constraint), table.id_of(rank), table.id_of(shown))
     state = table.classes.get(sig)
     if state is None:
-        state = table.classes[sig] = _score(cycle, table, request, _scan(cycle, request))
+        state = table.classes[sig] = _score(
+            cycle, table, request, _scan(cycle, request), sig, shape
+        )
         stats.request_classes += 1
     else:
         stats.pairings_saved += len(state.pool)

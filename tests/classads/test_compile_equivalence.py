@@ -334,6 +334,32 @@ class TestCacheMachinery:
         assert_equivalent("3 is 3")
         assert_equivalent("3.0 is 3")
 
+    def test_memo_distinguishes_the_sign_of_zero(self):
+        # Literal(0.0) == Literal(-0.0) too, and string() shows the sign:
+        # whichever list compiled first used to answer for both.
+        from repro.classads.ast import ListExpr, Literal
+
+        plus, minus = ListExpr([Literal(0.0)]), ListExpr([Literal(-0.0)])
+        assert plus == minus
+        assert cc.structural_key(plus) != cc.structural_key(minus)
+        for first, second in ((plus, minus), (minus, plus)):
+            cc.clear_cache()
+            for bias in (first, second):
+                ad = ClassAd({"Bias": bias})
+                shown = ad.eval_expr("string(Bias[0])")
+                assert shown == ("0.0" if bias is plus else "-0.0")
+
+    def test_structural_key_answers_by_identity_first(self):
+        from repro.classads import parse
+
+        expr = parse('other.Type == "Job" && Memory > 1')
+        twin = parse('other.Type == "Job" && Memory > 1')
+        key = cc.structural_key(expr)
+        assert cc.structural_key(expr) is key  # same object: no walk, no hash
+        assert cc.structural_key(twin) == key and cc.structural_key(twin) is not key
+        cc.clear_cache()
+        assert cc.structural_key(expr) == key
+
     def test_counters_flush_into_registry(self):
         metrics.enable()
         try:

@@ -9,6 +9,8 @@ indistinguishable from a fresh rebuild after any advertise/withdraw
 sequence.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -383,6 +385,31 @@ def _type_coarse():
     ])
 
 
+def _request_side_type_coarse():
+    # The same values on the request, read by the providers: a class
+    # signature that conflated them would hand one request's verdicts to
+    # another (0.0 / -0.0 did, while signatures were structural keys).
+    values = [64, 64.0, True, 1, 1.0, "64", 0.0, -0.0, 0]
+    providers = [
+        view_machine(f"m{i}.{j}", {"Memory": 64}, constraint=constraint)
+        for i in range(4)
+        for j, constraint in enumerate([
+            'string(other.Bias) == "0.0"',
+            "other.Bias is 1",
+            "isInteger(other.Bias)",
+        ])
+    ]
+    grouped, job_id = {}, 0
+    for order in (values, values[::-1]):
+        for owner in ("alice", "bob"):
+            for value in order:
+                grouped.setdefault(owner, []).append(
+                    view_request(owner, job_id, "other.Memory >= 64", {"Bias": value})
+                )
+                job_id += 1
+    return providers, grouped
+
+
 def _absent_vs_undefined():
     providers = [
         view_machine("absent"),
@@ -484,8 +511,166 @@ def _preemptable_current_rank():
     return providers, _jobs(["other.Memory >= 64", "other.Memory >= 32"])
 
 
+# Providers are grouped too: one evaluation of a provider's Constraint or
+# Rank serves every provider with the same *self key* — the attributes of
+# its own that root can transitively read.  Every case below is a way a
+# self key could conflate two providers their own expressions tell apart,
+# or a sharing that must fall back to per-provider evaluation.
+
+
+def _one_read_attribute_apart():
+    # Equal in everything but Limit, which the Constraint reads.
+    providers = [
+        view_machine(f"m{i}", {"Memory": 64, "Limit": limit},
+                     constraint="other.JobPrio < Limit")
+        for i, limit in enumerate([2, 4, 2, 4, 4, 3])
+    ]
+    return providers, _jobs(["other.Memory >= 64"], attrs={"JobPrio": 3})
+
+
+def _only_unread_attributes_differ():
+    # Name, Disk and KFlops differ; no Constraint or Rank reads them.
+    providers = [
+        view_machine(f"m{i}", {"Memory": 64, "Limit": 4, "Disk": 100 * i, "KFlops": 7 * i},
+                     constraint="other.JobPrio < Limit")
+        for i in range(6)
+    ]
+    return providers, _jobs(["other.Memory >= 64"], attrs={"JobPrio": 3})
+
+
+def _self_type_coarse():
+    values = [64, 64.0, True, 1, 1.0, "64", 0.0, -0.0, 0]
+    providers = [
+        view_machine(f"m{i}.{j}", {"Memory": 64, "Quota": value}, constraint=constraint,
+                     rank="Quota is 1 ? 3 : isReal(Quota) ? 2 : 0")
+        for i, value in enumerate(values)
+        for j, constraint in enumerate([
+            "Quota is 64",
+            "isInteger(Quota) || isBoolean(Quota)",
+            'string(Quota) == "0.0"',
+            "Quota == 1",
+        ])
+    ]
+    return providers, _jobs(["other.Memory >= 64"], owners=("alice", "bob"))
+
+
+def _closure_attribute_is_an_expression():
+    # Memory is in the Constraint's closure and bound to the same
+    # expression everywhere; what *it* reads differs.
+    providers = [
+        view_machine(f"m{i}", {"Total": total, "Reserved": 16},
+                     constraint="other.Need <= Memory", Memory="Total - Reserved")
+        for i, total in enumerate([48, 80, 80, 144, 48])
+    ]
+    return providers, _jobs(["other.Memory >= 32"], attrs={"Need": 48})
+
+
+def _closure_expression_signed_zero():
+    # Equal as ASTs ({0.0} == {-0.0}), told apart by string().
+    providers = [
+        view_machine(f"m{i}", {"Memory": 64, "Bias": [bias]},
+                     constraint='string(Bias[0]) == "0.0"')
+        for i, bias in enumerate([-0.0, 0.0, -0.0, 0.0])
+    ]
+    return providers, _jobs(["other.Memory >= 64"])
+
+
+def _absent_bare_name_reads_the_request():
+    # JobPrio is the request's where the provider has none, else its own.
+    providers = [
+        view_machine(f"m{i}", attrs, constraint="JobPrio > 2", rank="JobPrio")
+        for i, attrs in enumerate([
+            {"Memory": 64}, {"Memory": 64}, {"Memory": 64, "JobPrio": 5},
+            {"Memory": 64, "JobPrio": 1}, {"Memory": 64, "JOBPRIO": 5},
+        ])
+    ]
+    grouped = _jobs(["other.Memory >= 64"], attrs={"JobPrio": 3})
+    for owner, requests in _jobs(["other.Memory >= 64"], attrs={"JobPrio": 1}).items():
+        grouped[owner] += requests
+    return providers, grouped
+
+
+def _request_reads_the_provider_back():
+    # The providers' self keys are equal — neither root reads their own
+    # Memory — but what the request shows them is computed from it.
+    providers = [
+        view_machine(f"m{i}", {"Memory": memory},
+                     constraint="other.Memory <= 40", rank="other.Memory")
+        for i, memory in enumerate([64, 128, 64, 128, 32])
+    ]
+    grouped = {
+        "alice": [
+            view_request("alice", i, "other.Memory >= 32", Memory="other.Memory / 2")
+            for i in range(3)
+        ],
+        "bob": [view_request("bob", 10 + i, "other.Memory >= 32", {"Memory": 40})
+                for i in range(2)],
+    }
+    return providers, grouped
+
+
+def _owner_state_constraint_false():
+    # What an Owner-state startd advertises — a literal root — beside
+    # idle machines whose Constraint is a literal too.
+    providers = [
+        view_machine("gone0", {"Memory": 64, "State": "Owner"}, constraint="false"),
+        view_machine("no0", {"Memory": 64}, constraint="false"),
+        view_machine("yes0", {"Memory": 64}, constraint="true"),
+        view_machine("gone1", {"Memory": 64, "State": "Owner"}, constraint="false"),
+        view_machine("no1", {"Memory": 64}, constraint="false"),
+        view_machine("yes1", {"Memory": 64}, constraint="true"),
+        view_machine("maybe", {"Memory": 64}),
+    ]
+    return providers, _jobs(["other.Memory >= 64"])
+
+
+def _claimed_alike_but_for_current_rank():
+    # Equal self keys, so one Rank evaluation; the strictly-above-current
+    # test is each provider's own.
+    providers = [
+        view_machine(f"m{i}", {"Memory": 64, "Bonus": bonus, "State": "Claimed",
+                                "CurrentRank": current, "RemoteOwner": "someone"},
+                     rank='other.Owner == "vip" ? Bonus : 0')
+        for i, (bonus, current) in enumerate(
+            [(5, 0.0), (5, 4.0), (5, 5.0), (5, 9.0), (6, 5.0), (6, 6.0)]
+        )
+    ]
+    providers.append(view_machine("idle", {"Memory": 64, "Bonus": 5},
+                                  rank='other.Owner == "vip" ? Bonus : 0'))
+    return providers, _jobs(["other.Memory >= 64"])
+
+
+SELF_KEY_CASES = {
+    "one-read-attribute-apart": _one_read_attribute_apart,
+    "only-unread-attributes-differ": _only_unread_attributes_differ,
+    "self-type-coarse": _self_type_coarse,
+    "closure-attribute-is-an-expression": _closure_attribute_is_an_expression,
+    "closure-expression-signed-zero": _closure_expression_signed_zero,
+    "absent-bare-name-reads-the-request": _absent_bare_name_reads_the_request,
+    "request-reads-the-provider-back": _request_reads_the_provider_back,
+    "owner-state-constraint-false": _owner_state_constraint_false,
+    "claimed-alike-but-for-current-rank": _claimed_alike_but_for_current_rank,
+}
+
+
+def count_evaluations(monkeypatch):
+    """Count the scorer's evaluations as ``(evaluating side, root)``; the
+    scorer calls both entry points through its module's globals."""
+    from repro.matchmaking import matchmaker as mm_module
+
+    made = Counter()
+    for root, name in (("Constraint", "constraint_holds"), ("Rank", "evaluate_rank")):
+        def counting(ad, other, policy, _root=root, _original=getattr(mm_module, name)):
+            made["provider" if ad.evaluate("Type") == "Machine" else "request", _root] += 1
+            return _original(ad, other, policy)
+
+        monkeypatch.setattr(mm_module, name, counting)
+    return made
+
+
 VIEW_CASES = {
     "type-coarse": _type_coarse,
+    "request-side-type-coarse": _request_side_type_coarse,
     "absent-vs-undefined": _absent_vs_undefined,
     "case-variant-names": _case_variant_names,
     "observed-attribute-is-an-expression": _observed_attribute_is_an_expression,
@@ -515,6 +700,51 @@ class TestViewMemo:
         providers, grouped = VIEW_CASES[case]()
         assert_batched_equals_naive(providers, grouped, use_index)
         assert_batched_equals_naive(providers, grouped, use_index, allow_preemption=False)
+
+    @pytest.mark.parametrize("use_index", [False, True])
+    @pytest.mark.parametrize("case", sorted(SELF_KEY_CASES))
+    def test_self_key_corner_matches_naive(self, case, use_index):
+        providers, grouped = SELF_KEY_CASES[case]()
+        assert_batched_equals_naive(providers, grouped, use_index)
+        assert_batched_equals_naive(providers, grouped, use_index, allow_preemption=False)
+
+    @pytest.mark.parametrize("order, served", [((0.0, -0.0), 0), ((-0.0, 0.0), 1)])
+    def test_signed_zero_requests_are_not_one_class(self, order, served):
+        """Regression: class signatures were structural keys, under which
+        ``0.0 == -0.0``; views kept the sign.  The second request rode on
+        the first one's verdicts."""
+        providers = [
+            view_machine(f"m{i}", constraint='string(other.Bias) == "0.0"') for i in range(2)
+        ]
+        grouped = {"alice": [
+            view_request("alice", i, "true", {"Bias": bias}) for i, bias in enumerate(order)
+        ]}
+        stats = assert_batched_equals_naive(providers, grouped, use_index=False)
+        assert stats.request_classes == 2
+        assignments, _ = run_cycle(providers, grouped, batch=True, use_index=False)
+        assert [a.request.evaluate("JobId") for a in assignments] == [served]
+
+    def test_providers_share_by_what_their_roots_read_and_nothing_else(self, monkeypatch):
+        made = count_evaluations(monkeypatch)
+        owners = 3  # alice, bob, vip: the pool reads Owner and JobPrio
+        providers, grouped = _only_unread_attributes_differ()
+        run_cycle(providers, grouped, batch=True, use_index=False)
+        assert made["provider", "Constraint"] == owners
+        assert made["provider", "Rank"] == owners
+        made.clear()
+        providers, grouped = _one_read_attribute_apart()
+        run_cycle(providers, grouped, batch=True, use_index=False)
+        assert made["provider", "Constraint"] == owners * len({2, 4, 3})
+        assert made["provider", "Rank"] == owners  # of the Limit-4 group, the only one accepting
+        made.clear()
+        # Opaque on the request side: alice's class (its three members are
+        # still one class) is put to every provider on its own, though the
+        # providers are one group; bob's literal Memory is put to the group.
+        providers, grouped = _request_reads_the_provider_back()
+        _, stats = run_cycle(providers, grouped, batch=True, use_index=False)
+        assert stats.request_classes == 2
+        assert made["provider", "Constraint"] == len(providers) + 1
+        assert stats.view_opaque_evals >= len(providers)
 
     def test_expression_valued_observed_attributes_go_opaque(self):
         """A view is only as good as the literals it is made of."""
@@ -586,6 +816,67 @@ class TestViewMemo:
             assert provider_side - stats.view_provider_evals_saved == intel
 
 
+    def test_evaluations_bounded_by_distinct_self_keys_not_pool_size(self, monkeypatch):
+        """Figure-1 pool at one instant — every machine shows the same
+        LoadAvg, KeyboardIdle and DayTime — so a provider's Constraint is
+        told from another's by its ResearchGroup alone.  Five owners, two
+        job sizes each: the cycle costs one provider-side evaluation per
+        (distinct self key, Owner) reached and one customer-Rank
+        evaluation per distinct (KFlops, Memory), however many machines
+        carry them and however many classes ask."""
+        from repro.condor.jobs import DEFAULT_JOB_CONSTRAINT, DEFAULT_JOB_RANK
+        from repro.condor.workload import (
+            FIGURE1_POLICY_CONSTRAINT,
+            FIGURE1_POLICY_RANK,
+        )
+
+        made = count_evaluations(monkeypatch)
+        platforms = [("INTEL", 64), ("INTEL", 128), ("SPARC", 64)]
+        research_groups = [["u0", "u1"], ["u2", "u3"]]
+        kflops = [20000, 21000, 22000, 23000, 24000]
+        owners = ["u0", "u2", "u4", "u5", "u7"]  # two members, a friend, a stranger, a pest
+        job_memories = [31, 100]
+
+        def pool(size):
+            return [
+                ad({"Type": "Machine", "Name": f"ws{i}", "State": "Unclaimed",
+                    "Arch": arch, "OpSys": "SOLARIS251", "Memory": memory,
+                    "KFlops": kflops[i % len(kflops)], "LoadAvg": 0.05,
+                    "KeyboardIdle": 3600, "DayTime": 36000,
+                    "ResearchGroup": research_groups[i % 2], "Friends": ["u4"],
+                    "Untrusted": ["u7"]},
+                   Constraint=FIGURE1_POLICY_CONSTRAINT, Rank=FIGURE1_POLICY_RANK)
+                for i in range(size)
+                for arch, memory in [platforms[i % len(platforms)]]
+            ]
+
+        def queue():
+            return {owner: [
+                ad({"Type": "Job", "JobId": 100 * o + i, "Owner": owner, "Memory": memory,
+                    "ReqArch": "INTEL", "ReqOpSys": "SOLARIS251"},
+                   Constraint=DEFAULT_JOB_CONSTRAINT, Rank=DEFAULT_JOB_RANK)
+                for i, memory in enumerate(job_memories * 3)
+            ] for o, owner in enumerate(owners)}
+
+        for size in (30, 300):
+            made.clear()
+            providers, grouped = pool(size), queue()
+            _, stats = run_cycle(providers, grouped, batch=True, use_index=False)
+            assert stats.request_classes == len(owners) * len(job_memories)
+            assert stats.view_opaque_evals == 0
+            # A job's Constraint does not read its Owner: one evaluation
+            # per (job size, platform), shared by the five owners' classes.
+            assert made["request", "Constraint"] == len(job_memories) * len(platforms)
+            # Both research groups hold INTEL machines big enough for
+            # every job, so every (group, Owner) is reached.
+            assert made["provider", "Constraint"] == len(research_groups) * len(owners)
+            # By day a machine takes its own group's member and the friend.
+            assert made["provider", "Rank"] == len(research_groups) * 2
+            # One Rank expression for every class; ten INTEL (KFlops,
+            # Memory) pairs, each viable for some class.
+            assert made["request", "Rank"] == len(kflops) * 2
+
+
 class TestDerivedFactsFollowMutation:
     """Reference closures and request signatures are memoized on the ads
     and validated against the bindings they were read off: editing an ad
@@ -647,22 +938,60 @@ class TestDerivedFactsFollowMutation:
         stats = self._cycle_edit_cycle(providers, grouped, edit)
         assert stats.request_classes == before.request_classes + 2
 
+    def test_refresh_and_list_edit_regroup_a_provider(self):
+        """A ``Refresh`` rebinds volatile literals in place
+        (``AdStore.touch``); an owner edits a policy list.  Both move the
+        provider out of the group it was evaluated in last cycle."""
+        from repro.condor.workload import (
+            FIGURE1_POLICY_CONSTRAINT,
+            FIGURE1_POLICY_RANK,
+        )
+
+        providers = [
+            view_machine(f"m{i}", {"Memory": 64, "LoadAvg": 0.05, "KeyboardIdle": 3600,
+                                    "DayTime": 36000, "ResearchGroup": ["alice"],
+                                    "Friends": ["bob"], "Untrusted": ["mallory"]},
+                         constraint=FIGURE1_POLICY_CONSTRAINT, rank=FIGURE1_POLICY_RANK)
+            for i in range(6)
+        ]
+        grouped = _jobs(["other.Memory >= 64"], owners=("alice", "bob", "carol"))
+
+        def matched(owner):
+            assignments, _ = run_cycle(providers, grouped, batch=True, use_index=False)
+            return sorted(a.provider.evaluate("Name") for a in assignments
+                          if a.submitter == owner)
+
+        assert len(matched("bob")) == 2  # a friend, and every keyboard is idle
+
+        def edit():
+            for provider in providers[:5]:
+                provider["LoadAvg"] = 0.9  # busy: friends must wait
+            providers[0]["ResearchGroup"] = ["bob"]  # except where bob now belongs
+
+        self._cycle_edit_cycle(providers, grouped, edit)
+        assert matched("bob") == ["m0", "m5"]
+
     def test_volatile_literals_leave_the_closure_standing(self):
         """What a refresh does — rebinding literals in place — keeps the
-        memoized closure (and the sharing it buys) valid."""
-        from repro.matchmaking.matchmaker import _observed_attrs
+        memoized shape (and the sharing it buys) valid, while the self
+        key follows the new value."""
+        from repro.matchmaking.match import DEFAULT_POLICY
+        from repro.matchmaking.matchmaker import _self_keys, _shape
 
         provider = view_machine(
             "m0", {"LoadAvg": 0.1},
             constraint='LoadAvg < 0.3 && other.Owner != "bob"',
         )
-        roots = ("constraint", "rank")
-        first = _observed_attrs(provider, roots)
+        first = _shape(provider, DEFAULT_POLICY)
+        constraint_key, rank_key = _self_keys(provider, DEFAULT_POLICY)[:2]
         provider["LoadAvg"] = 0.7
-        assert first == ("owner",)
-        assert _observed_attrs(provider, roots) is first
+        assert (first.constraint.literals, first.constraint.reads) == (("loadavg",), ("owner",))
+        assert _shape(provider, DEFAULT_POLICY) is first
+        moved = _self_keys(provider, DEFAULT_POLICY)
+        assert moved[0] != constraint_key and moved[1] == rank_key
         provider.set_expr("LoadAvg", "other.Load")
-        assert _observed_attrs(provider, roots) == ("load", "owner")
+        rebound = _shape(provider, DEFAULT_POLICY).constraint
+        assert (rebound.literals, rebound.reads) == ((), ("load", "owner"))
 
 
 # -- persistent index -----------------------------------------------------

@@ -275,7 +275,9 @@ class TestStageSeams:
             "cycle", "submitter", "request",
         ]
         hidden = set(mm_module._ClassTable.__slots__)
-        assert hidden >= {"classes", "provider_views", "provider_verdicts"}
+        assert hidden >= {"classes", "groups", "rows", "verdicts"}
+        # One table of evaluations: nothing keyed per provider sits beside it.
+        assert not {"rep_accepts", "provider_verdicts"} & hidden
         assert not hidden & set(mm_module._Cycle.__slots__)
 
     def test_parallel_parameter_is_gone(self):

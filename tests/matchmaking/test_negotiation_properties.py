@@ -154,27 +154,35 @@ class TestNegotiationInvariants:
         ] == [(a.submitter, a.provider.evaluate("Name")) for a in second]
 
 
-# -- value-regular pools: the view memo against the per-pair scan ------------
+# -- value-regular pools: the scorer's groups against the per-pair scan ------
 #
 # Few distinct values, many ads (paper Section 5's "value regularity"), so
-# views are shared — drawn from exactly the values and expressions a view
-# key could get wrong: type-coarse equals (64 / 64.0 / true), absent vs
-# explicitly undefined attributes, case-variant names, attributes bound to
-# expressions on either side, and bare names that fall through.
+# views are shared and providers fall into groups of equal self key — drawn
+# from exactly the values and expressions a key could get wrong: type-coarse
+# equals (64 / 64.0 / true), absent vs explicitly undefined attributes,
+# case-variant names, attributes bound to expressions on either side, bare
+# names that fall through, and self attributes (Memory, Quota, Total) the
+# providers' own Constraint and Rank read.  Every domain is small: a dozen
+# providers drawn from them repeat a (policy, self attributes) combination
+# more often than not, which is what makes the property exercise sharing.
 
 MEMORY_BINDINGS = [
     ("Memory", 64), ("Memory", 64.0), ("MEMORY", 64), ("Memory", True),
     ("Memory", 128), ("memory", "64"), ("Memory", UNDEFINED), None,
     ("Memory", parse("Total - 16")), ("Memory", parse("other.Need * 2")),
 ]
+QUOTA_BINDINGS = [
+    ("Quota", 32), ("Quota", 32.0), ("QUOTA", 100), None, ("Quota", parse("Total - 48")),
+]
 PROVIDER_CONSTRAINTS = [
-    'other.Type == "Job"',
     'other.Owner != "bob"',
     'Owner != "bob" && other.Need <= Memory',  # bare Owner: the request's
     "other.Need is undefined || isInteger(other.NEED)",
     "JobPrio > 1",
+    "other.Need <= Quota",  # its own, through a bare name
+    "isInteger(self.Quota) || JobPrio > 1",
 ]
-PROVIDER_RANKS = ['other.Owner == "vip" ? 5 : 0', "other.Need", "other.JobPrio"]
+PROVIDER_RANKS = ['other.Owner == "vip" ? Quota : 0', "other.Need", "other.JobPrio"]
 REQUEST_CONSTRAINTS = [
     'other.Type == "Machine" && other.Arch == self.ReqArch && other.Memory >= self.Need',
     "other.Memory is 64",
@@ -196,6 +204,7 @@ view_machines_strategy = st.lists(
         st.sampled_from([0.0, 5.0]),
         st.sampled_from(PROVIDER_CONSTRAINTS),
         st.sampled_from(PROVIDER_RANKS),
+        st.sampled_from(QUOTA_BINDINGS),
     ),
     max_size=12,
 )
@@ -213,13 +222,14 @@ view_requests_strategy = st.lists(
 
 def build_views(machine_params, request_params):
     providers = []
-    for i, (arch, memory, state, current, constraint, rank) in enumerate(machine_params):
+    for i, (arch, memory, state, current, constraint, rank, quota) in enumerate(machine_params):
         ad = view_machine(
             f"m{i}", {"Arch": arch, "State": state, "Total": 80 + 64 * (i % 2)},
             constraint=constraint, rank=rank,
         )
-        if memory is not None:
-            ad[memory[0]] = memory[1]
+        for binding in (memory, quota):
+            if binding is not None:
+                ad[binding[0]] = binding[1]
         if state == "Claimed":
             ad["CurrentRank"] = current
             ad["RemoteOwner"] = "someone"
@@ -238,6 +248,25 @@ def build_views(machine_params, request_params):
 
 
 class TestViewMemoEqualsPerPairScan:
+    def test_the_domains_form_groups(self):
+        """The property below is only as good as its pools: one of every
+        (Constraint, Quota) combination, twice over, must share
+        provider-side evaluations and still equal the oracle."""
+        machine_params = [
+            ("INTEL", ("Memory", 64), "Unclaimed", 0.0, constraint, PROVIDER_RANKS[0], quota)
+            for _ in range(2)
+            for constraint in PROVIDER_CONSTRAINTS
+            for quota in QUOTA_BINDINGS
+        ]
+        request_params = [
+            (owner, "INTEL", need, REQUEST_CONSTRAINTS[0], 3)
+            for owner in ("alice", "bob", "vip")
+            for need in NEED_BINDINGS[:3]
+        ]
+        providers, grouped = build_views(machine_params, request_params)
+        stats = assert_batched_equals_naive(providers, grouped, use_index=False)
+        assert stats.view_provider_evals_saved > len(providers)
+
     @given(view_machines_strategy, view_requests_strategy, st.booleans(), st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_assignments_and_event_stream_identical(
