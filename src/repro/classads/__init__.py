@@ -42,7 +42,7 @@ from .compile import (
 )
 from .errors import ClassAdException, EvaluationLimitExceeded, LexerError, ParseError
 from .parser import parse, parse_record
-from .fingerprint import ad_wire_size, fingerprint, payload_equal
+from .fingerprint import ad_wire_size, fingerprint, payload_equal, values_equal
 from .serialize import SerializationError, dumps, from_json_obj, loads, to_json_obj
 from .unparse import unparse, unparse_classad
 from .values import (
@@ -105,6 +105,7 @@ __all__ = [
     "rank_value",
     "unparse",
     "unparse_classad",
+    "values_equal",
     "values_identical",
     "walk",
 ]

@@ -24,6 +24,12 @@ from .values import (
 )
 
 
+#: The exact classes of a plain scalar: most of what agents bind when
+#: they build or refresh an ad, so they are recognised first and by
+#: class identity (subclasses take the isinstance route below).
+_SCALAR_CLASSES = frozenset({bool, int, float, str})
+
+
 def _value_to_expr(value: Any) -> Expr:
     """Convert a Python value (or Expr) to an expression node.
 
@@ -32,6 +38,8 @@ def _value_to_expr(value: Any) -> Expr:
     Strings are treated as literal strings, *not* parsed — use
     :meth:`ClassAd.set_expr` or the parser for expression-valued strings.
     """
+    if type(value) in _SCALAR_CLASSES:
+        return Literal(value)
     if isinstance(value, Expr):
         return value
     if isinstance(value, (bool, int, float, str, UndefinedType, ErrorValue)):
@@ -102,9 +110,15 @@ class ClassAd:
         self._fpcache: Optional[dict] = None
         self._derived: Optional[tuple] = None
         if fields is not None:
+            # Bulk load: same binding rule as __setitem__, but a new ad
+            # has no caches to invalidate key by key.
+            names, bound = self._names, self._fields
             items = fields.items() if isinstance(fields, Mapping) else fields
             for name, value in items:
-                self[name] = value
+                key = name.lower()
+                if key not in names:
+                    names[key] = name
+                bound[key] = _value_to_expr(value)
 
     # -- mapping protocol ----------------------------------------------
 

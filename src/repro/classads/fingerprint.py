@@ -32,24 +32,72 @@ All derived forms (per-attribute payload strings, digests per exclusion
 set, the wire-size estimate) are cached on the ad itself (the
 ``_fpcache`` slot) and invalidated wholesale by any mutation, so the
 serialization cost is paid once per distinct ad content.
+
+The payload of one expression is by definition
+``json.dumps(_expr_to_json(expr), separators=(",", ":"))``;
+:func:`_payload` writes the common shapes (plain scalars, lists of
+them, shared policy expressions) directly, byte for byte the same, and
+leaves everything else to that definition.
 """
 
 from __future__ import annotations
 
 import json
 from hashlib import blake2b
-from typing import Dict, FrozenSet, Iterable
+from json.encoder import encode_basestring_ascii as _quote
+from math import copysign, isfinite
+from typing import Dict, FrozenSet, Iterable, Sequence
 
 from .ast import Expr, ListExpr, Literal, RecordExpr
 from .classad import ClassAd
 from .serialize import _expr_to_json
+from .unparse import unparse
+from .values import ErrorValue
 
 _NO_EXCLUDE: FrozenSet[str] = frozenset()
 
 #: Marker hashed in place of an excluded attribute's payload.  It can
 #: never collide with a real payload (JSON strings cannot contain a
 #: raw NUL) so presence-without-value is unambiguous.
-_VOLATILE_MARKER = b"\x00volatile"
+_VOLATILE_MARKER = "\x00volatile"
+
+#: Identity-first memo of operator-expression payloads: ``id(expr)`` ->
+#: (expr, payload).  Agents bind one shared expression object per policy
+#: source text into every ad they build, so the unparse behind a
+#: ``$expr`` payload is paid once per policy, not once per ad.  The
+#: entry holds the expression, so its id cannot be reused while the
+#: entry lives; kept small because that also keeps dead ads'
+#: expressions alive.
+_EXPR_PAYLOADS: Dict[int, tuple] = {}
+_EXPR_PAYLOADS_LIMIT = 512
+
+
+def _payload(expr: Expr) -> str:
+    """The compact-JSON wire payload of one expression."""
+    kind = type(expr)
+    if kind is Literal:
+        value = expr.value
+        vkind = type(value)
+        # Exact classes only: a subclass may override __repr__/__str__,
+        # and the JSON encoder has its own rules for those.
+        if vkind is str:
+            return _quote(value)
+        if vkind is bool:
+            return "true" if value else "false"
+        if vkind is int or (vkind is float and isfinite(value)):
+            return repr(value)
+    elif kind is ListExpr:
+        return "[" + ",".join(map(_payload, expr.items)) + "]"
+    elif not isinstance(expr, (Literal, ListExpr, RecordExpr)):
+        entry = _EXPR_PAYLOADS.get(id(expr))
+        if entry is not None and entry[0] is expr:
+            return entry[1]
+        payload = '{"$expr":' + _quote(unparse(expr)) + "}"
+        if len(_EXPR_PAYLOADS) >= _EXPR_PAYLOADS_LIMIT:
+            _EXPR_PAYLOADS.clear()
+        _EXPR_PAYLOADS[id(expr)] = (expr, payload)
+        return payload
+    return json.dumps(_expr_to_json(expr), separators=(",", ":"))
 
 
 def _payloads(ad: ClassAd) -> Dict[str, str]:
@@ -60,8 +108,7 @@ def _payloads(ad: ClassAd) -> Dict[str, str]:
     payloads = cache.get("payloads")
     if payloads is None:
         payloads = cache["payloads"] = {
-            key: json.dumps(_expr_to_json(expr), separators=(",", ":"))
-            for key, expr in ad._fields.items()
+            key: _payload(expr) for key, expr in ad._fields.items()
         }
     return payloads
 
@@ -76,23 +123,20 @@ def fingerprint(ad: ClassAd, exclude: Iterable[str] = _NO_EXCLUDE) -> str:
     if exclude is _NO_EXCLUDE:
         exclude_set = _NO_EXCLUDE
     else:
-        exclude_set = frozenset(name.lower() for name in exclude)
+        exclude_set = frozenset(map(str.lower, exclude))
     payloads = _payloads(ad)
     cache = ad._fpcache
     cache_key = ("fp", exclude_set)
     cached = cache.get(cache_key)
     if cached is not None:
         return cached
-    digest = blake2b(digest_size=16)
-    for name in sorted(payloads):
-        digest.update(name.encode("utf-8"))
-        digest.update(b"=")
-        if name in exclude_set:
-            digest.update(_VOLATILE_MARKER)
-        else:
-            digest.update(payloads[name].encode("utf-8"))
-        digest.update(b";")
-    result = digest.hexdigest()
+    buffer = "".join(
+        [
+            f"{name}={_VOLATILE_MARKER if name in exclude_set else payloads[name]};"
+            for name in sorted(payloads)
+        ]
+    )
+    result = blake2b(buffer.encode("utf-8"), digest_size=16).hexdigest()
     cache[cache_key] = result
     return result
 
@@ -111,6 +155,42 @@ def ad_wire_size(ad: ClassAd) -> int:
     return size
 
 
+def literal_equal(va: object, vb: object) -> bool:
+    """Whether two literal *values* serialize to the same wire payload.
+
+    The one definition of "unchanged" for a plain value, shared by
+    :func:`payload_equal` and by senders that compare the values an ad
+    is built from instead of the ad (:func:`values_equal`).  Finer
+    than ``==`` exactly where the payload is: literal types count
+    (``3`` / ``3.0`` / ``true``), a float zero keeps its sign (``-0.0``
+    travels as ``-0.0`` and ``string()`` shows it), error reasons
+    count.  NaN never equals itself; treated as changed (conservative).
+    """
+    kind = type(va)
+    if kind is not type(vb):
+        return False
+    if kind is str or kind is int:  # most values; ``==`` is exact for them
+        return va == vb
+    if isinstance(va, float):
+        return va == vb and copysign(1.0, va) == copysign(1.0, vb)
+    if isinstance(va, ErrorValue):
+        return va.reason == vb.reason
+    return va == vb
+
+
+def values_equal(a: Sequence[object], b: Sequence[object]) -> bool:
+    """:func:`literal_equal`, pairwise over two equal-length sequences.
+
+    For a sender that keeps the values an ad is built from instead of
+    the ad.  An object both sides share needs no comparison — unless it
+    is a NaN, which stays "changed" as it would between two ads.
+    """
+    for va, vb in zip(a, b, strict=True):
+        if (va is not vb or va != va) and not literal_equal(va, vb):
+            return False
+    return True
+
+
 def payload_equal(a: Expr, b: Expr) -> bool:
     """Whether two expressions serialize to the *same wire payload*.
 
@@ -123,16 +203,8 @@ def payload_equal(a: Expr, b: Expr) -> bool:
     """
     if a is b:
         return True
-    if isinstance(a, Literal) or isinstance(b, Literal):
-        if not (isinstance(a, Literal) and isinstance(b, Literal)):
-            return False
-        va, vb = a.value, b.value
-        if type(va) is not type(vb):
-            return False
-        if isinstance(va, float) and (va != va or vb != vb):
-            # NaN never equals itself; treat as changed (conservative).
-            return False
-        return va == vb
+    if isinstance(a, Literal):
+        return isinstance(b, Literal) and literal_equal(a.value, b.value)
     if isinstance(a, ListExpr):
         if not isinstance(b, ListExpr) or len(a.items) != len(b.items):
             return False
@@ -150,6 +222,4 @@ def payload_equal(a: Expr, b: Expr) -> bool:
         return False
     # Operator/reference nodes serialize through the unparser; compare
     # the unparsed source, which is deterministic per AST.
-    from .unparse import unparse
-
     return unparse(a) == unparse(b)

@@ -198,6 +198,10 @@ class Collector:
                 )
             )
             return
+        # A same-sequence copy of the Refresh applied last (senders number
+        # every ad; their blind retransmit re-sends the number): renewing
+        # the lease is idempotent and its volatile values are in place.
+        duplicate = rec.sequence == message.sequence
         renewed = self.store.touch(
             message.name,
             now=self.sim.now,
@@ -206,6 +210,7 @@ class Collector:
         )
         if renewed:
             _COL_REFRESH_HITS.inc()
+        if renewed and not duplicate:
             ad = rec.ad
             for attr, value in message.volatile:
                 ad[attr] = value

@@ -49,6 +49,28 @@ DEFAULT_JOB_CONSTRAINT = (
 )
 DEFAULT_JOB_RANK = "other.KFlops / 1E3 + other.Memory / 32"
 
+#: A request ad's attributes in ad order.  :meth:`Job.stable_key` yields
+#: the values of all but ``AdvertisedAt`` (the one volatile attribute,
+#: ``VOLATILE_JOB_ATTRS``) in this order.
+_AD_NAMES = (
+    "Type",
+    "JobId",
+    "Owner",
+    "Cmd",
+    "QDate",
+    "SubmittedAt",
+    "Memory",
+    "ReqArch",
+    "ReqOpSys",
+    "WantCheckpoint",
+    "JobPrio",
+    "RemainingWork",
+    "ContactAddress",
+    "AdvertisedAt",
+    "Constraint",
+    "Rank",
+)
+
 
 @dataclass
 class Job:
@@ -101,29 +123,44 @@ class Job:
             return None
         return self.completion_time - self.submit_time
 
+    def stable_key(self, contact_address: str) -> tuple:
+        """Everything the request ad's non-volatile attributes are built
+        from: the scalar values in ``_AD_NAMES`` order, then the
+        Constraint and Rank source text.
+
+        :meth:`to_classad` builds the ad from this tuple and nothing
+        else, so two keys that are ``values_equal`` describe ads with
+        the same stable fingerprint — the schedd compares keys each
+        period instead of rebuilding the ad.
+        """
+        return (
+            "Job",
+            self.job_id,
+            self.owner,
+            self.cmd,
+            int(self.submit_time),
+            self.submit_time,
+            self.memory,
+            self.req_arch,
+            self.req_opsys,
+            1 if self.want_checkpoint else 0,
+            self.priority,
+            self.remaining_work,
+            contact_address,
+            self.constraint,
+            self.rank,
+        )
+
     def to_classad(self, contact_address: str, now: float) -> ClassAd:
         """The request classad advertised to the matchmaker."""
-        ad = ClassAd(
-            {
-                "Type": "Job",
-                "JobId": self.job_id,
-                "Owner": self.owner,
-                "Cmd": self.cmd,
-                "QDate": int(self.submit_time),
-                "SubmittedAt": self.submit_time,
-                "Memory": self.memory,
-                "ReqArch": self.req_arch,
-                "ReqOpSys": self.req_opsys,
-                "WantCheckpoint": 1 if self.want_checkpoint else 0,
-                "JobPrio": self.priority,
-                "RemainingWork": self.remaining_work,
-                "ContactAddress": contact_address,
-                "AdvertisedAt": now,
-            }
+        *scalars, constraint, rank = self.stable_key(contact_address)
+        return ClassAd(
+            zip(
+                _AD_NAMES,
+                (*scalars, now, parsed_policy(constraint), parsed_policy(rank)),
+                strict=True,
+            )
         )
-        ad["Constraint"] = parsed_policy(self.constraint)
-        ad["Rank"] = parsed_policy(self.rank)
-        return ad
 
 
 def execution_time(job: Job, mips: float) -> float:

@@ -517,21 +517,17 @@ class MachineAgent:
         self.net.send(notice)
         self._schedule_notice_retry(match_id, retries_left - 1)
 
-    def _claim_key(self, request: ClaimRequest):
-        job_id = request.customer_ad.evaluate("JobId")
-        return (
-            request.match_id,
-            request.sender,
-            job_id if isinstance(job_id, int) else -1,
-        )
-
     def _on_claim_request(self, request: ClaimRequest) -> None:
+        # (match id, customer, job id) names the request: the replay
+        # cache's key, built once and handed down with the request.
+        job_id = request.customer_ad.evaluate("JobId")
+        key = (request.match_id, request.sender, job_id if isinstance(job_id, int) else -1)
         # Duplicate suppression: a retransmitted request replays the
         # original verdict instead of colliding with the claim it itself
         # created (which would wrongly answer ALREADY_CLAIMED).  The
         # accept is only replayed while that exact claim is still live;
         # afterwards the honest answer is "that claim is gone".
-        cached = self._claim_verdicts.get(self._claim_key(request))
+        cached = self._claim_verdicts.get(key)
         if cached is not None:
             _RA_DUP_CLAIMS.inc()
             accepted, reason = cached
@@ -549,72 +545,75 @@ class MachineAgent:
                 )
             )
             return
+        # One ad of the current state serves the preemption Rank, the
+        # claim check and the accepted claim's Rank.
+        current_ad = self.build_ad()
         preempting = False
         if self.claim is not None:
             # Rank preemption: only a strictly better customer may displace
             # the current one; otherwise the claim is refused outright.
-            current_ad = self.build_ad()
             new_rank = rank_value(current_ad.evaluate("Rank", other=request.customer_ad))
             if new_rank > self.claim.rank:
                 preempting = True
             else:
-                self._respond(request, False, ClaimVerdict.ALREADY_CLAIMED.value)
+                self._respond(key, False, ClaimVerdict.ALREADY_CLAIMED.value)
                 return
         decision = verify_claim(
             request_ad=request.customer_ad,
-            current_resource_ad=self.build_ad(),
+            current_resource_ad=current_ad,
             presented_ticket=request.ticket,
             authority=self.authority,
             already_claimed=False,
             policy=self.policy,
         )
         if not decision.accepted:
-            self._respond(request, False, decision.verdict.value)
+            self._respond(key, False, decision.verdict.value)
             return
         if preempting:
             self._evict("preempted-by-higher-rank")
             self.evictions_preempted += 1
-        self._accept_claim(request)
+            current_ad = self.build_ad()  # the eviction changed it
+        self._accept_claim(request, key, current_ad)
 
-    def _respond(self, request: ClaimRequest, accepted: bool, reason: str) -> None:
+    def _respond(self, key: tuple, accepted: bool, reason: str) -> None:
+        """Record and send the verdict on the claim request *key* names."""
+        match_id, customer_address, job_id = key
         if accepted:
             self.claims_accepted += 1
         else:
             self.claims_rejected += 1
-        self._remember(self._claim_verdicts, self._claim_key(request), (accepted, reason))
-        job_id = request.customer_ad.evaluate("JobId")
+        self._remember(self._claim_verdicts, key, (accepted, reason))
         self.trace.emit(
             self.sim.now,
             "claim-response",
             machine=self.spec.name,
             accepted=accepted,
             reason=reason,
-            match=request.match_id,
-            job=job_id if isinstance(job_id, int) else -1,
+            match=match_id,
+            job=job_id,
         )
         self.net.send(
             ClaimResponse(
                 sender=self.address,
-                recipient=request.sender,
-                match_id=request.match_id,
+                recipient=customer_address,
+                match_id=match_id,
                 accepted=accepted,
                 reason=reason,
                 lease_duration=self.claim_lease if accepted else None,
             )
         )
 
-    def _accept_claim(self, request: ClaimRequest) -> None:
+    def _accept_claim(self, request: ClaimRequest, key: tuple, current_ad: ClassAd) -> None:
         job_ad = request.customer_ad
-        rank = rank_value(self.build_ad().evaluate("Rank", other=job_ad))
+        rank = rank_value(current_ad.evaluate("Rank", other=job_ad))
         remaining = job_ad.evaluate("RemainingWork")
         remaining = float(remaining) if isinstance(remaining, (int, float)) else 0.0
         wants_checkpoint = job_ad.evaluate("WantCheckpoint") in (1, True)
-        job_id = job_ad.evaluate("JobId")
         claim = _Claim(
             match_id=request.match_id,
             customer_address=request.sender,
             job_ad=job_ad,
-            job_id=job_id if isinstance(job_id, int) else -1,
+            job_id=key[2],
             rank=rank,
             started_at=self.sim.now,
             wants_checkpoint=wants_checkpoint,
@@ -643,17 +642,7 @@ class MachineAgent:
         self._set_state(MachineState.CLAIMED)
         if self.on_claim_started is not None:
             self.on_claim_started(str(job_ad.evaluate("Owner")), self.spec.name)
-        self._respond(
-            ClaimRequest(
-                sender=claim.customer_address,
-                recipient=self.address,
-                customer_ad=job_ad,
-                ticket=None,
-                match_id=claim.match_id,
-            ),
-            True,
-            ClaimVerdict.ACCEPTED.value,
-        )
+        self._respond(key, True, ClaimVerdict.ACCEPTED.value)
 
     def _arm_lease_reaper(self, claim: _Claim) -> None:
         """Fire exactly when the lease would lapse; each renewal pushes

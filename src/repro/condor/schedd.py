@@ -24,7 +24,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..classads import ClassAd, fingerprint
+from ..classads import fingerprint, values_equal
 from ..obs import metrics as _metrics, tracer as _tracer
 from ..obs.causal import TraceContext, causal_log as _causal, job_trace_id
 from ..protocols import (
@@ -41,8 +41,6 @@ from ..protocols import (
     Withdrawal,
     refresh_enabled,
     retries_enabled,
-    stable_equal,
-    volatile_values,
 )
 from ..protocols.advertising import ADV_FULL_ADS, ADV_REFRESHES
 from ..sim import Network, PoolMetrics, Simulator, Trace
@@ -147,9 +145,9 @@ class CustomerAgent:
         self._job_ctx: Dict[int, TraceContext] = {}
         # collectors each job's ad has been sent to (for withdrawal)
         self._advertised_to: Dict[int, set] = {}
-        # Refresh fast path: last full ad + fingerprint per
-        # (job id, collector) — flocked collectors are courted
-        # separately, so each needs its own full ad before refreshes.
+        # Refresh fast path: (stable key, fingerprint, send time) of the
+        # last full ad per (job id, collector) — flocked collectors are
+        # courted separately, so each needs its own full ad first.
         self._ad_cache: Dict[tuple, tuple] = {}
         self._sequence = 0
         retry_rng = rng.fork("retry") if rng is not None else None
@@ -323,36 +321,38 @@ class CustomerAgent:
     def _advertise_job(self, job: Job, collector: Optional[str] = None) -> None:
         collector = collector if collector is not None else self.collector_address
         self._sequence += 1
-        ad = job.to_classad(self.address, self.sim.now)
-        key = (job.job_id, collector)
-        cached = self._ad_cache.get(key) if refresh_enabled() else None
-        message = None
+        now = self.sim.now
+        key = job.stable_key(self.address)
+        slot = (job.job_id, collector)
+        cached = self._ad_cache.get(slot) if refresh_enabled() else None
         # Same-instant guard: never refresh at the moment the referenced
         # full ad was sent — latency jitter could deliver the Refresh
         # first and force a needless resync round trip.
         if (
             cached is not None
-            and self.sim.now > cached[2]
-            and stable_equal(ad, cached[0], VOLATILE_JOB_ATTRS)
+            and now > cached[2]
+            and values_equal(key, cached[0])
         ):
-            volatile = volatile_values(ad, VOLATILE_JOB_ATTRS)
-            if volatile is not None:
-                ADV_REFRESHES.inc()
-                message = Refresh(
-                    sender=self.address,
-                    recipient=collector,
-                    name=self._ad_name(job),
-                    fingerprint=cached[1],
-                    lifetime=self.ad_lifetime,
-                    sequence=self._sequence,
-                    volatile=volatile,
-                )
-        if message is None:
+            # Unchanged key, unchanged stable content: the fingerprint
+            # sent with the full ad still describes the job, and the
+            # stamp is the only volatile attribute (VOLATILE_JOB_ATTRS).
+            ADV_REFRESHES.inc()
+            message = Refresh(
+                sender=self.address,
+                recipient=collector,
+                name=self._ad_name(job),
+                fingerprint=cached[1],
+                lifetime=self.ad_lifetime,
+                sequence=self._sequence,
+                volatile=(("AdvertisedAt", now),),
+            )
+        else:
+            ad = job.to_classad(self.address, now)
             if refresh_enabled():
                 fp = fingerprint(ad, exclude=VOLATILE_JOB_ATTRS)
-                self._ad_cache[key] = (ad, fp, self.sim.now)
+                self._ad_cache[slot] = (key, fp, now)
             else:
-                self._ad_cache.pop(key, None)
+                self._ad_cache.pop(slot, None)
                 fp = None
             ADV_FULL_ADS.inc()
             message = Advertisement(

@@ -6,7 +6,15 @@ from repro.classads import ClassAd
 from repro.condor import Collector, Job, MachineSpec, Negotiator
 from repro.condor.machine import MachineAgent
 from repro.matchmaking import Accountant
-from repro.protocols import Advertisement, MatchNotification, Withdrawal
+from repro.classads import fingerprint
+from repro.protocols import (
+    VOLATILE_MACHINE_ATTRS,
+    Advertisement,
+    MatchNotification,
+    Refresh,
+    ResendRequest,
+    Withdrawal,
+)
 from repro.sim import Network, RngStream, Simulator, Trace
 
 
@@ -114,6 +122,96 @@ class TestCollector:
         advertise(self.net, "machine.m0", machine_ad("m0"), sequence=3)
         self.sim.run_until(3.0)
         assert len(self.collector.store) == 1
+
+
+class TestRefreshCopies:
+    """A Refresh is idempotent per sequence number: the sender's blind
+    retransmit (same object, same number) renews the lease again but has
+    nothing new to write; a newer Refresh always writes; an older one is
+    stale."""
+
+    def setup_method(self):
+        self.sim = Simulator()
+        self.net = Network(self.sim, rng=RngStream(1), latency=0.01)
+        self.collector = Collector(self.sim, self.net, trace=Trace())
+        self.nacks = []
+        self.net.register("startd@m0", self.nacks.append)
+        self.ad = machine_ad("m0")
+        self.ad["LoadAvg"] = 0.05
+        self.ad["KeyboardIdle"] = 10.0
+        self.fp = fingerprint(self.ad, exclude=VOLATILE_MACHINE_ATTRS)
+        self.net.send(
+            Advertisement(
+                sender="startd@m0",
+                recipient="collector@cm",
+                name="machine.m0",
+                ad=self.ad,
+                lifetime=900.0,
+                sequence=1,
+                fingerprint=self.fp,
+            )
+        )
+        self.sim.run_until(1.0)
+
+    def refresh(self, sequence, load, idle):
+        return Refresh(
+            sender="startd@m0",
+            recipient="collector@cm",
+            name="machine.m0",
+            fingerprint=self.fp,
+            lifetime=900.0,
+            sequence=sequence,
+            volatile=(("LoadAvg", load), ("KeyboardIdle", idle)),
+        )
+
+    def deliver(self, t, message):
+        """Send *message* at time *t*; returns (arrival time, lease end)."""
+        self.sim.run_until(t)
+        self.net.send(message)
+        self.sim.run_until(t + 1.0)
+        return t + 0.01, t + 0.01 + 900.0
+
+    def lease(self):
+        rec = self.collector.store.record("machine.m0")
+        return rec.received_at, rec.expires_at, rec.sequence
+
+    def test_same_sequence_copy_renews_the_lease_and_writes_nothing(self):
+        message = self.refresh(2, 0.25, 310.0)
+        assert (*self.deliver(300.0, message), 2) == self.lease()
+        assert self.ad.evaluate("LoadAvg") == 0.25
+        bound = dict(self.ad.bindings())
+        derived = fingerprint(self.ad)  # fills the ad's derived-form cache
+
+        # The blind copy, 37.5 s later: the lease moves exactly as before.
+        assert (*self.deliver(337.5, message), 2) == self.lease()
+        after = self.ad.bindings()
+        assert after.keys() == bound.keys()
+        assert all(after[key] is bound[key] for key in bound)  # not even rebound
+        assert self.ad._fpcache is not None and fingerprint(self.ad) == derived
+        assert not self.nacks
+
+    def test_higher_sequence_always_rewrites(self):
+        self.deliver(300.0, self.refresh(2, 0.25, 310.0))
+        load = self.ad["LoadAvg"]
+        # LoadAvg happens to repeat; it is written all the same.
+        assert (*self.deliver(600.0, self.refresh(3, 0.25, 610.0)), 3) == self.lease()
+        assert self.ad.evaluate("KeyboardIdle") == 610.0
+        assert self.ad.evaluate("LoadAvg") == 0.25 and self.ad["LoadAvg"] is not load
+
+    def test_lower_sequence_is_dropped_as_stale(self):
+        lease = (*self.deliver(600.0, self.refresh(3, 0.25, 610.0)), 3)
+        self.deliver(602.0, self.refresh(2, 0.99, 310.0))  # overtaken in flight
+        assert self.lease() == lease
+        assert self.ad.evaluate("LoadAvg") == 0.25
+        assert not self.nacks
+
+    def test_copy_after_a_crash_is_still_nacked(self):
+        message = self.refresh(2, 0.25, 310.0)
+        self.deliver(300.0, message)
+        self.collector.crash()
+        self.collector.recover()
+        self.deliver(337.5, message)
+        assert [type(m) for m in self.nacks] == [ResendRequest]
 
 
 class TestNegotiator:

@@ -291,6 +291,81 @@ class TestRankPreemption:
         assert ad.evaluate("RemoteOwner") == "raman"
 
 
+class TestClaimPathBuildsEachAdOnce:
+    """One ad of the current state serves the preemption Rank, the claim
+    check and the accepted claim's Rank; only an eviction in between —
+    which changes the state — calls for another."""
+
+    @staticmethod
+    def counting(agent):
+        builds = []
+        real = agent.build_ad
+        agent.build_ad = lambda: builds.append(agent.sim.now) or real()
+        return builds
+
+    def test_accepted_claim(self):
+        sim, net, agent, inbox = make_agent()
+        sim.run_until(1.0)
+        builds = self.counting(agent)
+        net.send(claim_request_for(agent, Job(owner="alice", total_work=500.0), sim))
+        sim.run_until(2.0)
+        assert agent.state is MachineState.CLAIMED
+        # The claim's, and the Claimed-state advertisement's.
+        assert len(builds) == 2
+
+    def test_refused_and_rejected_claims(self):
+        sim, net, agent, inbox = make_agent()
+        sim.run_until(1.0)
+        net.send(claim_request_for(agent, Job(owner="alice", total_work=500.0), sim))
+        sim.run_until(2.0)
+        builds = self.counting(agent)
+        request = claim_request_for(agent, Job(owner="bob", total_work=10.0), sim)
+        net.send(request)
+        sim.run_until(3.0)
+        assert agent.claims_rejected == 1 and len(builds) == 1
+        net.send(request)  # a retransmit is answered from the replay cache
+        sim.run_until(4.0)
+        assert agent.claims_rejected == 1 and len(builds) == 1
+
+    def test_preemptor_is_ranked_against_the_machine_after_the_eviction(self):
+        spec = MachineSpec(
+            name="m0",
+            rank='member(other.Owner, { "raman" }) * 10 + (RemoteOwner is undefined ? 1 : 0)',
+        )
+        sim, net, agent, inbox = make_agent(spec=spec)
+        sim.run_until(1.0)
+        net.send(claim_request_for(agent, Job(owner="stranger", total_work=500.0), sim))
+        sim.run_until(2.0)
+        assert agent.claim.rank == 1.0
+        builds = self.counting(agent)
+        net.send(
+            claim_request_for(
+                agent, Job(owner="raman", total_work=100.0), sim, ticket=agent.authority.current
+            )
+        )
+        sim.run_until(3.0)
+        assert agent.evictions_preempted == 1
+        # Ranked 10 while the stranger held the machine (enough to preempt),
+        # 11 once it was evicted: the claim records the latter.
+        assert agent.claim.rank == 11.0
+        assert len(builds) == 3  # before the eviction, after it, the new ad
+
+    def test_response_and_replay_key_carry_the_job_id(self):
+        from repro.protocols import ClaimResponse
+
+        sim, net, agent, inbox = make_agent()
+        sim.run_until(1.0)
+        job = Job(owner="alice", total_work=500.0)
+        net.send(claim_request_for(agent, job, sim))
+        sim.run_until(2.0)
+        assert agent.claim.job_id == job.job_id
+        assert list(agent._claim_verdicts) == [(99, "schedd@alice", job.job_id)]
+        (event,) = agent.trace.of_kind("claim-response")
+        assert (event.fields["job"], event.fields["match"]) == (job.job_id, 99)
+        (response,) = [m for m in inbox if isinstance(m, ClaimResponse)]
+        assert response.accepted and response.recipient == "schedd@alice"
+
+
 class TestVacateGrace:
     def start_claim(self, agent, net, sim, memory=64, want_checkpoint=True):
         sim.run_until(1.0)
