@@ -239,6 +239,31 @@ class FunctionCall(Expr):
         return hash((FunctionCall, self.canonical, self.args))
 
 
+def children(expr: Expr) -> Tuple[Expr, ...]:
+    """The direct sub-expressions of *expr*, left to right (a record's
+    field expressions included)."""
+    kind = type(expr)
+    if kind is Literal or kind is AttributeRef:
+        return ()
+    if kind is BinaryOp:
+        return (expr.left, expr.right)
+    if kind is UnaryOp:
+        return (expr.operand,)
+    if kind is Conditional:
+        return (expr.cond, expr.then, expr.otherwise)
+    if kind is ListExpr:
+        return expr.items
+    if kind is RecordExpr:
+        return tuple(e for _, e in expr.fields)
+    if kind is Select:
+        return (expr.base,)
+    if kind is Subscript:
+        return (expr.base, expr.index)
+    if kind is FunctionCall:
+        return expr.args
+    return ()
+
+
 def walk(expr: Expr):
     """Yield *expr* and every sub-expression, pre-order.
 
@@ -249,26 +274,7 @@ def walk(expr: Expr):
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, UnaryOp):
-            stack.append(node.operand)
-        elif isinstance(node, BinaryOp):
-            stack.append(node.right)
-            stack.append(node.left)
-        elif isinstance(node, Conditional):
-            stack.append(node.otherwise)
-            stack.append(node.then)
-            stack.append(node.cond)
-        elif isinstance(node, ListExpr):
-            stack.extend(reversed(node.items))
-        elif isinstance(node, RecordExpr):
-            stack.extend(e for _, e in reversed(node.fields))
-        elif isinstance(node, Select):
-            stack.append(node.base)
-        elif isinstance(node, Subscript):
-            stack.append(node.index)
-            stack.append(node.base)
-        elif isinstance(node, FunctionCall):
-            stack.extend(reversed(node.args))
+        stack.extend(reversed(children(node)))
 
 
 def external_references(expr: Expr):

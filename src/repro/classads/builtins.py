@@ -9,13 +9,19 @@ mirrors the operator semantics.
 
 Type-test predicates (``isUndefined`` etc.) are intentionally non-strict:
 their whole purpose is to inspect ``undefined``/``error`` values.
+
+Every function here is also *pure*: its result is a function of its
+arguments alone.  The registry records that per name (:data:`PURE`),
+because constant folding and the matchmaker's memos are sound only for
+pure calls; :func:`register_builtin` adds a function, impure unless said
+otherwise.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Set
 
 from .values import (
     ERROR,
@@ -34,14 +40,34 @@ from .values import (
 )
 
 BUILTINS: Dict[str, Callable[[List], object]] = {}
+#: Canonical names of the registered functions that are pure: same
+#: arguments, same result, no other input.  Only these may be folded.
+PURE: Set[str] = set()
+
+
+def register_builtin(name: str, fn: Callable[[List], object], pure: bool = False) -> None:
+    """Register *fn* under the (case-insensitive) *name*; *pure* says
+    whether its result depends on its arguments alone."""
+    key = name.lower()
+    BUILTINS[key] = fn
+    if pure:
+        PURE.add(key)
+    else:
+        PURE.discard(key)
+
+
+def is_pure(name: str) -> bool:
+    """Whether a call to the canonical *name* may be folded: a pure
+    builtin, or the lazy special form ``ifThenElse``."""
+    return name in PURE or name == "ifthenelse"
 
 
 def _builtin(*names: str):
-    """Register a function under one or more (case-insensitive) names."""
+    """Register a pure function under one or more (case-insensitive) names."""
 
     def register(fn):
         for name in names:
-            BUILTINS[name.lower()] = fn
+            register_builtin(name, fn, pure=True)
         return fn
 
     return register

@@ -101,9 +101,11 @@ class ClassAd:
         # estimate, all dropped wholesale on any mutation.
         # _derived is owned by repro.matchmaking.matchmaker: the shape of
         # this ad's self keys (what its Constraint and Rank read of itself
-        # and of the other ad), one entry validated against the bindings
-        # it consulted — never dropped here, so the in-place
-        # volatile-attribute updates of a refresh leave it standing.
+        # and of the other ad), which depends on which names are bound and
+        # to which expressions, never on literal values.  Dropped here by
+        # every other mutation; one literal replacing another — the
+        # in-place volatile-attribute updates of a refresh — leaves it
+        # standing.
         self._fields: Dict[str, Expr] = {}
         self._names: Dict[str, str] = {}
         self._ccache: Optional[dict] = None
@@ -126,7 +128,12 @@ class ClassAd:
         key = name.lower()
         if key not in self._names:
             self._names[key] = name
-        self._fields[key] = _value_to_expr(value)
+        expr = _value_to_expr(value)
+        if self._derived is not None and (
+            type(expr) is not Literal or type(self._fields.get(key)) is not Literal
+        ):
+            self._derived = None
+        self._fields[key] = expr
         if self._ccache is not None:
             self._ccache.pop(key, None)
         self._fpcache = None
@@ -143,6 +150,7 @@ class ClassAd:
             raise KeyError(name)
         del self._fields[key]
         del self._names[key]
+        self._derived = None
         if self._ccache is not None:
             self._ccache.pop(key, None)
         self._fpcache = None

@@ -65,6 +65,7 @@ from .ast import (
     UnaryOp,
     walk,
 )
+from .builtins import BUILTINS, is_pure
 from .classad import ClassAd
 from .evaluator import (
     DEFAULT_MAX_DEPTH,
@@ -80,12 +81,14 @@ from .values import (
 )
 
 __all__ = [
+    "NOT_CONSTANT",
     "CompiledExpr",
     "cache_hits_total",
     "cache_stats",
     "clear_cache",
     "compilation_enabled",
     "compile_expr",
+    "constant_value",
     "evaluate",
     "evaluate_attribute",
     "set_compilation",
@@ -323,6 +326,44 @@ def structural_key(expr: Expr) -> tuple:
     return key
 
 
+#: What :func:`constant_value` returns for an expression that is not one.
+NOT_CONSTANT = object()
+
+
+def constant_value(expr: Expr, ad: Optional[ClassAd] = None):
+    """*expr*'s value when nothing but *expr* itself and *ad* can change
+    it, else :data:`NOT_CONSTANT`.
+
+    Every reference is followed through *ad*'s own attributes (``self.X``
+    and bare names *ad* defines) and must stay among them: an ``other.X``,
+    a bare name *ad* lacks (it falls through to the other ad), any
+    reference at all when there is no *ad*, or a call to a builtin that is
+    not pure makes *expr* no constant.  Without an ad this is the
+    matchmaker's "reference-free, folds through pure builtins" test for
+    the constant side of a predicate; with the customer ad, the index's.
+    """
+    if type(expr) is Literal:
+        return expr.value
+    stack = [expr]
+    followed = set()
+    while stack:
+        for node in walk(stack.pop()):
+            kind = type(node)
+            if kind is AttributeRef:
+                if ad is None or node.scope == "other":
+                    return NOT_CONSTANT
+                bound = ad.lookup(node.canonical)
+                if bound is None:
+                    if node.scope is None:
+                        return NOT_CONSTANT  # falls through to the other ad
+                elif node.canonical not in followed:
+                    followed.add(node.canonical)
+                    stack.append(bound)
+            elif kind is FunctionCall and not is_pure(node.canonical):
+                return NOT_CONSTANT
+    return evaluate(expr, ad)
+
+
 def _memo_compile(expr: Expr) -> Optional[_Compiled]:
     global _stat_compiles
     key = structural_key(expr)
@@ -386,7 +427,8 @@ def _resolve_root(expr: Expr, ad: ClassAd, name: str, state: _EvalState):
 # faults.  Constant folding calls the freshly built closure once with
 # state=None — a node is only foldable when no path through it can touch
 # the state, which holds exactly when every child is constant and the
-# node is not a reference or record constructor.
+# node is not a reference or record constructor — and when its value
+# cannot change between evaluations: a call only to a pure builtin.
 
 _NOT_CONST = object()
 
@@ -798,8 +840,6 @@ def _build_subscript(expr: Subscript):
 
 
 def _build_call(expr: FunctionCall):
-    from .builtins import BUILTINS  # late import: builtins use the evaluator
-
     name = expr.canonical
     if name == "ifthenelse":
         if len(expr.args) != 3:
@@ -819,8 +859,8 @@ def _build_call(expr: FunctionCall):
     def fn(state):
         return builtin([arg_fn(state) for arg_fn in fns])
 
-    if all(const is not _NOT_CONST for _, const in built):
-        return _fold(fn)  # builtins are pure and total
+    if is_pure(name) and all(const is not _NOT_CONST for _, const in built):
+        return _fold(fn)  # a pure call of constants is a constant
     return fn, _NOT_CONST
 
 

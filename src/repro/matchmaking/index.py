@@ -41,7 +41,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..classads import ClassAd, is_true
 from ..classads.ast import AttributeRef, BinaryOp, Expr
-from ..classads.compile import compile_expr, evaluate
+from ..classads.compile import compile_expr, constant_value
 from ..classads.values import is_number, is_string
 from ..obs import metrics as _metrics
 from .match import DEFAULT_POLICY, MatchPolicy
@@ -122,14 +122,17 @@ def _provider_side_ref(node: Expr, customer: ClassAd) -> Optional[str]:
 
 
 def _customer_constant(node: Expr, customer: ClassAd) -> Optional[object]:
-    """Evaluate *node* using only the customer ad; None unless concrete.
+    """*node*'s value when it depends on the customer ad alone; None
+    unless that value is concrete.
 
     This is what lets Figure 2's ``other.Memory >= self.Memory`` become
-    the predicate ``memory >= 31``.
+    the predicate ``memory >= 31``.  A side that can reach the provider —
+    directly, through a compound expression
+    (``isUndefined(other.Disk) ? 64 : 16``) or through a customer
+    attribute bound to one — is no constant: evaluated without the
+    provider it would yield a value the real match never sees.
     """
-    if isinstance(node, AttributeRef) and _provider_side_ref(node, customer) is not None:
-        return None  # references the provider — not a constant
-    value = evaluate(node, customer)
+    value = constant_value(node, customer)
     if is_string(value) or is_number(value):
         return value
     return None

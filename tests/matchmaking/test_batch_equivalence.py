@@ -763,7 +763,8 @@ class TestViewMemo:
         the whole pool — yet a class build costs one request-side
         evaluation per distinct (Type, Arch, OpSys, Memory), however many
         providers there are, and the cycle one provider-side evaluation
-        per (provider, Owner), however many classes there are."""
+        per (atom-outcome group, Owner), however many providers and
+        classes there are."""
         from repro.condor.jobs import DEFAULT_JOB_CONSTRAINT, DEFAULT_JOB_RANK
         from repro.condor.workload import (
             FIGURE1_POLICY_CONSTRAINT,
@@ -808,12 +809,20 @@ class TestViewMemo:
                 1 for p in providers for memory in job_memories
                 if p.evaluate("Arch") == "INTEL" and p.evaluate("Memory") >= memory
             )
-            intel = sum(1 for p in providers if p.evaluate("Arch") == "INTEL")
             assert request_side - stats.view_request_evals_saved == (
                 stats.request_classes * len(platforms)
             )
-            # One request view (Owner "u7"): once per provider, not per class.
-            assert provider_side - stats.view_provider_evals_saved == intel
+            # One request view (Owner "u7").  The Constraint reads a
+            # machine's own LoadAvg, KeyboardIdle and DayTime only through
+            # four comparisons with constants, so machines on which all
+            # four come out alike are one evaluator: once per group, not
+            # per provider and not per class.
+            atoms = ("LoadAvg < 0.3", "KeyboardIdle > 15*60",
+                     "DayTime < 8*60*60", "DayTime > 18*60*60")
+            groups = {tuple(p.eval_expr(atom) for atom in atoms)
+                      for p in providers if p.evaluate("Arch") == "INTEL"}
+            assert len(groups) == 4  # loaded or not x idle or not, all by day
+            assert provider_side - stats.view_provider_evals_saved == len(groups)
 
 
     def test_evaluations_bounded_by_distinct_self_keys_not_pool_size(self, monkeypatch):
@@ -985,7 +994,9 @@ class TestDerivedFactsFollowMutation:
         first = _shape(provider, DEFAULT_POLICY)
         constraint_key, rank_key = _self_keys(provider, DEFAULT_POLICY)[:2]
         provider["LoadAvg"] = 0.7
-        assert (first.constraint.literals, first.constraint.reads) == (("loadavg",), ("owner",))
+        assert (first.constraint.literals, first.constraint.reads) == (
+            (("loadavg", (("<", 0.3, 0),)),), ("owner",)
+        )
         assert _shape(provider, DEFAULT_POLICY) is first
         moved = _self_keys(provider, DEFAULT_POLICY)
         assert moved[0] != constraint_key and moved[1] == rank_key

@@ -152,6 +152,46 @@ class TestIndexPruning:
         assert index.candidates_for(job('other.Arch == "ALPHA"')) == []
 
 
+class TestSidesThatReadTheProvider:
+    """A comparison side is a constant only if nothing it reaches —
+    directly, inside a compound expression, or through a customer
+    attribute bound to one — is the provider.  Evaluated against the
+    customer alone, ``isUndefined(other.Disk) ? 64 : 16`` reads 64; a
+    machine with ``Disk`` defined sees 16."""
+
+    @staticmethod
+    def _customers():
+        inline = job("other.Memory >= (isUndefined(other.Disk) ? 64 : 16)")
+        through_attribute = job("other.Memory >= MinMem")
+        through_attribute.set_expr("MinMem", "isUndefined(other.Disk) ? 64 : 16")
+        return [inline, through_attribute]
+
+    def test_no_predicate_is_extracted(self):
+        for customer in self._customers():
+            assert extract_predicates(customer["Constraint"], customer) == []
+
+    def test_indexed_and_unindexed_negotiation_both_assign(self):
+        from repro.matchmaking import negotiation_cycle
+
+        for customer in self._customers():
+            customer["Owner"] = "alice"
+            customer.set_expr("Rank", "0")
+            small = machine(memory=32)
+            small["Name"] = "m32"
+            small["State"] = "Unclaimed"
+            small.set_expr("Constraint", "true")
+            small.set_expr("Rank", "0")
+            for index in (None, ProviderIndex([small])):
+                assignments = negotiation_cycle({"alice": [customer]}, [small], index=index)
+                assert len(assignments) == 1
+
+    def test_customer_only_closures_still_index(self):
+        customer = job("other.Memory >= Need && other.Disk >= Need * 1000", Base=16)
+        customer.set_expr("Need", "Base * 2")
+        preds = extract_predicates(customer["Constraint"], customer)
+        assert set(preds) == {Predicate("memory", ">=", 32), Predicate("disk", ">=", 32000)}
+
+
 # -- the soundness property ------------------------------------------------
 
 archs = st.sampled_from(["INTEL", "SPARC", "ALPHA", "HPPA"])
