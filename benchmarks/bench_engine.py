@@ -3,7 +3,7 @@
 After PRs 3–8 piled differential suites, chaos matrices, and scaling
 benchmarks onto the simulator, the kernel itself became the cost floor
 under every other number in this repo.  This benchmark measures that
-floor: the fast bucketed kernel (the default) against the reference
+floor: the fast slotted kernel (the default) against the reference
 heap (``REPRO_NO_FASTKERNEL=1``), on the workloads that dominate real
 runs:
 
@@ -37,6 +37,7 @@ which writes ``BENCH_ENGINE_substrate.json`` for the regression gate
 
 import argparse
 import functools
+from collections import deque
 import gc
 import os
 import sys
@@ -66,7 +67,7 @@ def _noop(arg=None):
 
 class _Fanout:
     """Periodic callback scheduling one same-instant burst per round —
-    the advertising-period shape the bucket was built for."""
+    the advertising-period shape same-instant runs are drained for."""
 
     def __init__(self, sim, per_round):
         self.sim = sim
@@ -164,7 +165,12 @@ def bench_pool(fast, horizon=15_000.0):
 def _assert_closure_free(sim):
     """Every pending entry's callback must be a plain function, bound
     method, or partial of one — never a per-event closure or lambda."""
-    entries = [e for e in list(sim._heap) + list(sim._bucket) if e[2] is not None]
+    entries = [
+        e
+        for slot in sim._slots.values()
+        for e in (slot if isinstance(slot, deque) else [slot])
+        if e[2] is not None
+    ]
     assert entries, "anatomy check armed nothing"
     for entry in entries:
         fn = entry[2]

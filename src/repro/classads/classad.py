@@ -201,8 +201,12 @@ class ClassAd:
             self[name] = value
 
     def copy(self) -> "ClassAd":
-        """A shallow copy (expressions are immutable and shared)."""
-        return ClassAd(self.items())
+        """A shallow copy (expressions are immutable and shared), with
+        order and spelling kept and every cache starting empty."""
+        ad = ClassAd()
+        ad._fields = self._fields.copy()
+        ad._names = self._names.copy()
+        return ad
 
     # -- evaluation ------------------------------------------------------
 

@@ -29,7 +29,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from ..classads import ClassAd, fingerprint, parse, rank_value
+from ..classads import ClassAd, fingerprint, parse, rank_value, values_equal
 from ..matchmaking.match import DEFAULT_POLICY, MatchPolicy, constraints_satisfied
 from ..obs import event_log as _events, metrics as _metrics
 from ..obs.causal import TraceContext, causal_log as _causal
@@ -44,6 +44,7 @@ from ..protocols import (
     ReleaseNotice,
     ResendRequest,
     Retransmitter,
+    Ticket,
     TicketAuthority,
     embed_ticket,
     refresh_enabled,
@@ -84,6 +85,32 @@ DEFAULT_MACHINE_RANK = "0"
 #: The Owner-state START policy, parsed once and shared by every ad
 #: build (shared Expr objects hit the change detector's identity check).
 _FALSE_EXPR = parse("false")
+
+#: A machine ad's first attributes, in ad order (extra attributes,
+#: policy, claim and ticket follow); the stable key holds all but the
+#: volatile three, then the extras, then its last ``_TAIL`` values.
+_AD_NAMES = (
+    "Type", "Name", "State", "Activity", "Arch", "OpSys", "Memory", "Disk",
+    "Mips", "KFlops", "LoadAvg", "KeyboardIdle", "DayTime", "ContactAddress",
+)
+_HEAD, _TAIL = len(_AD_NAMES) - 3, 8
+
+#: Value types the stable key holds as they are, and its list marker
+#: (the list's length and items follow it).
+_PLAIN = frozenset({bool, int, float, str, type(None)})
+_LIST = object()
+
+
+class _Unkeyed:
+    """An extra attribute value the key cannot compare by content (an
+    expression, a record, a list of anything but plain scalars, or a
+    value for a volatile name): it equals nothing, so the ad is built
+    afresh."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
 
 
 @dataclass
@@ -129,6 +156,8 @@ class _Claim:
     customer_address: str
     job_ad: ClassAd
     job_id: int
+    #: The job ad's Owner, evaluated once at accept.
+    owner: str
     rank: float
     started_at: float
     wants_checkpoint: bool
@@ -182,16 +211,15 @@ class MachineAgent:
         self.crashed = False
         self._owner_last_departure = sim.now
         self._sequence = 0
-        # Refresh fast path: the last full ad sent and its fingerprint
-        # (stable attributes only); while the current state still
-        # matches, the periodic advertiser sends a compact Refresh.
+        # Refresh fast path: the last full ad sent, its stable key and
+        # fingerprint (stable attributes only); while the current state
+        # still matches, the periodic advertiser sends a compact Refresh.
+        # _key is the key of the ad build_ad returned last.
         self._last_ad: Optional[ClassAd] = None
+        self._last_key: Optional[tuple] = None
         self._last_fp: Optional[str] = None
         self._last_full_at: float = -1.0
-        # Policy expressions parsed once per source text, not per build.
-        self._policy_src: Optional[tuple] = None
-        self._constraint_expr = None
-        self._rank_expr = None
+        self._key: Optional[tuple] = None
         self._pending_notices = {}
         # Receiver-side duplicate suppression (retransmits are blind, so
         # the RA must answer repeats idempotently): verdicts by
@@ -311,49 +339,87 @@ class MachineAgent:
 
     # -- advertising (Figure 3, step 1) ---------------------------------------
 
-    def build_ad(self) -> ClassAd:
-        """The RA's current classad — the Figure 1 shape."""
-        ad = ClassAd(
-            {
-                "Type": "Machine",
-                "Name": self.spec.name,
-                "State": self.state.value,
-                "Activity": (
-                    Activity.BUSY.value
-                    if self.claim is not None or self.owner_active
-                    else Activity.IDLE.value
-                ),
-                "Arch": self.spec.arch,
-                "OpSys": self.spec.opsys,
-                "Memory": self.spec.memory,
-                "Disk": self.spec.disk,
-                "Mips": self.spec.mips,
-                "KFlops": self.spec.kflops,
-                "LoadAvg": self.load_avg,
-                "KeyboardIdle": self.keyboard_idle,
-                "DayTime": self.day_time,
-                "ContactAddress": self.address,
-            }
+    def stable_key(self) -> tuple:
+        """The plain values behind every non-volatile attribute, flat and
+        in ad order: the ``_AD_NAMES`` values but the volatile three;
+        each extra attribute's name and value (a list as ``_LIST``, its
+        length and its items, copied); whether the Owner-state ``false``
+        is the Constraint; the Constraint and Rank text; the claim's
+        RemoteOwner and CurrentRank; the ticket's issuer, serial, token.
+
+        :meth:`build_ad` builds from this tuple and nothing else, so keys
+        that are ``values_equal`` describe ads with the same stable
+        fingerprint.  Flat, so the comparison is one pass of identity
+        hits and list items still compare type-exactly.
+        """
+        spec, claim, ticket = self.spec, self.claim, self.authority.current
+        busy = claim is not None or self.owner_active
+        key = [
+            "Machine", spec.name, self.state.value,
+            Activity.BUSY.value if busy else Activity.IDLE.value,
+            spec.arch, spec.opsys, spec.memory, spec.disk, spec.mips, spec.kflops,
+            self.address,
+        ]
+        for name, value in spec.extra_attrs.items():
+            kind = type(value)
+            if name.lower() in VOLATILE_MACHINE_ATTRS:
+                key += (name, _Unkeyed(value))
+            elif kind in _PLAIN:
+                key += (name, value)
+            elif kind in (list, tuple) and _PLAIN.issuperset(map(type, value)):
+                key += (name, _LIST, len(value), *value)
+            else:
+                key += (name, _Unkeyed(value))
+        key += (
+            self.state is MachineState.OWNER,
+            spec.constraint,
+            spec.rank,
+            *((None, None) if claim is None else (claim.owner, claim.rank)),
+            *((None,) * 3 if ticket is None else (ticket.issuer, ticket.serial, ticket.token)),
         )
-        for key, value in self.spec.extra_attrs.items():
-            ad[key] = value
-        src = (self.spec.constraint, self.spec.rank)
-        if src != self._policy_src:
-            self._policy_src = src
-            self._constraint_expr = parsed_policy(src[0])
-            self._rank_expr = parsed_policy(src[1])
-        if self.state is MachineState.OWNER:
-            # Owner present: the START policy is unsatisfiable, full stop.
-            ad["Constraint"] = _FALSE_EXPR
-        else:
-            ad["Constraint"] = self._constraint_expr
-        ad["Rank"] = self._rank_expr
-        if self.claim is not None:
-            ad["RemoteOwner"] = str(self.claim.job_ad.evaluate("Owner"))
-            ad["CurrentRank"] = self.claim.rank
-        ticket = self.authority.current
-        if ticket is not None:
-            embed_ticket(ad, ticket)
+        return tuple(key)
+
+    def build_ad(self) -> ClassAd:
+        """The RA's current classad — the Figure 1 shape.
+
+        While :meth:`stable_key` equals the key of the last full ad sent,
+        the ad is a copy of that one with the volatile literals rebound:
+        it shares every stable expression, so :func:`stable_equal`
+        answers by identity.  Every call returns a new ad, and no ad is
+        mutated once built — the collector stores the very object an
+        advertisement carries.
+        """
+        key = self.stable_key()
+        last, last_key = self._last_ad, self._last_key
+        if last is not None and len(key) == len(last_key) and values_equal(key, last_key):
+            self._key = last_key
+            ad = last.copy()
+            ad["LoadAvg"] = self.load_avg
+            ad["KeyboardIdle"] = self.keyboard_idle
+            ad["DayTime"] = self.day_time
+            return ad
+        self._key = key
+        volatile = (self.load_avg, self.keyboard_idle, self.day_time)
+        ad = ClassAd(zip(_AD_NAMES, (*key[: _HEAD - 1], *volatile, key[_HEAD - 1])))
+        i, end = _HEAD, len(key) - _TAIL
+        while i < end:
+            name, value = key[i], key[i + 1]
+            i += 2
+            if value is _LIST:
+                value = key[i + 1 : i + 1 + key[i]]
+                i += 1 + key[i]
+            elif type(value) is _Unkeyed:
+                value = value.value
+            ad[name] = value
+        closed, constraint, rank, remote_owner, current_rank, *ticket = key[end:]
+        # Owner present: the START policy is unsatisfiable, full stop.
+        ad["Constraint"] = _FALSE_EXPR if closed else parsed_policy(constraint)
+        ad["Rank"] = parsed_policy(rank)
+        if remote_owner is not None:
+            ad["RemoteOwner"] = remote_owner
+            ad["CurrentRank"] = current_rank
+        if ticket[0] is not None:
+            embed_ticket(ad, Ticket(*ticket))
         return ad
 
     def advertise(self) -> None:
@@ -384,7 +450,7 @@ class MachineAgent:
                 )
         if message is None:
             if refresh_enabled():
-                self._last_ad = ad
+                self._last_ad, self._last_key = ad, self._key
                 self._last_fp = fingerprint(ad, exclude=VOLATILE_MACHINE_ATTRS)
                 self._last_full_at = self.sim.now
             else:
@@ -614,6 +680,7 @@ class MachineAgent:
             customer_address=request.sender,
             job_ad=job_ad,
             job_id=key[2],
+            owner=str(job_ad.evaluate("Owner")),
             rank=rank,
             started_at=self.sim.now,
             wants_checkpoint=wants_checkpoint,
@@ -641,7 +708,7 @@ class MachineAgent:
         self.authority.mint()
         self._set_state(MachineState.CLAIMED)
         if self.on_claim_started is not None:
-            self.on_claim_started(str(job_ad.evaluate("Owner")), self.spec.name)
+            self.on_claim_started(claim.owner, self.spec.name)
         self._respond(key, True, ClaimVerdict.ACCEPTED.value)
 
     def _arm_lease_reaper(self, claim: _Claim) -> None:
@@ -697,7 +764,7 @@ class MachineAgent:
                 )
             )
         if self.on_claim_ended is not None:
-            self.on_claim_ended(str(claim.job_ad.evaluate("Owner")), self.spec.name)
+            self.on_claim_ended(claim.owner, self.spec.name)
         if not self.owner_active:
             self._set_state(MachineState.UNCLAIMED)
 
@@ -735,7 +802,7 @@ class MachineAgent:
                 )
             )
         if self.on_claim_ended is not None:
-            self.on_claim_ended(str(claim.job_ad.evaluate("Owner")), self.spec.name)
+            self.on_claim_ended(claim.owner, self.spec.name)
 
     # -- failure injection (chaos crash schedules) -------------------------
 
@@ -753,7 +820,7 @@ class MachineAgent:
             if claim.completion_handle is not None:
                 self.sim.cancel(claim.completion_handle)
             if self.on_claim_ended is not None:
-                self.on_claim_ended(str(claim.job_ad.evaluate("Owner")), self.spec.name)
+                self.on_claim_ended(claim.owner, self.spec.name)
         self._pending_notices.clear()
         self._claim_verdicts.clear()
         self._seen_notifications.clear()
@@ -790,6 +857,6 @@ class MachineAgent:
                 self.sim.now, "claim-released", machine=self.spec.name, job=claim.job_id
             )
             if self.on_claim_ended is not None:
-                self.on_claim_ended(str(claim.job_ad.evaluate("Owner")), self.spec.name)
+                self.on_claim_ended(claim.owner, self.spec.name)
             if not self.owner_active:
                 self._set_state(MachineState.UNCLAIMED)

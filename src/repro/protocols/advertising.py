@@ -110,8 +110,9 @@ def volatile_values(
     format only carries scalars).
     """
     out = []
-    for name, expr in ad.items():
-        if name.lower() in volatile:
+    for key, name in ad._names.items():
+        if key in volatile:
+            expr = ad._fields[key]
             if not isinstance(expr, Literal) or not isinstance(
                 expr.value, (bool, int, float, str)
             ):
@@ -127,7 +128,8 @@ def stable_equal(ad: ClassAd, last: ClassAd, volatile: FrozenSet[str]) -> bool:
     so literal types count); attribute *presence* still matters for
     volatile names — an ad gaining or losing a volatile attribute is a
     change.  True means the previously sent fingerprint still describes
-    *ad*'s stable part, so a Refresh suffices.
+    *ad*'s stable part, so a Refresh suffices.  An ad built from the
+    last one shares its stable expressions, so they answer by identity.
     """
     fields, last_fields = ad._fields, last._fields
     if fields.keys() != last_fields.keys():
@@ -135,7 +137,7 @@ def stable_equal(ad: ClassAd, last: ClassAd, volatile: FrozenSet[str]) -> bool:
     for key, expr in fields.items():
         if key in volatile:
             continue
-        if not payload_equal(expr, last_fields[key]):
+        if expr is not last_fields[key] and not payload_equal(expr, last_fields[key]):
             return False
     return True
 

@@ -18,9 +18,11 @@ exactly those regular shapes:
 
 * heap entries are mutable ``[time, seq, fn, arg]`` records — callers
   pass ``schedule(delay, fn, arg)`` and no per-event closure is built;
-* runs of same-timestamp events (an advertising burst, a delivery
-  fan-out) land in a FIFO *bucket* instead of the heap: one O(1)
-  append/popleft per event instead of an O(log n) push/pop pair;
+* the heap holds distinct timestamps, not entries: each owns a *slot*
+  — its lone entry, or a FIFO of the events due at that instant — so a
+  run of same-instant events (an advertising burst, a delivery fan-out,
+  a period's re-arms) costs one O(1) append/popleft per event however
+  its schedules interleave with others', and heap compares are floats';
 * cancellation marks the entry in place (``fn = None``), which both
   makes ``pending()`` an O(1) live counter and removes the old
   ``_cancelled`` set — cancelling an already-fired handle is a no-op
@@ -44,7 +46,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .._env import env_flag
 from ..obs import event_log as _event_log, metrics as _metrics
@@ -131,7 +133,7 @@ class Simulator:
         sim.run_until(3600.0)
 
     Two kernels share this API (see the module docstring): the fast
-    bucketed kernel and the reference heap.  ``fast=None`` (the
+    slotted kernel and the reference heap.  ``fast=None`` (the
     default) consults :func:`fast_kernel_enabled`.
     """
 
@@ -141,14 +143,14 @@ class Simulator:
         self._sequence = itertools.count()
         self.events_processed = 0
         if self._fast:
-            # Fast kernel: mutable [time, seq, fn, arg] entries; a FIFO
-            # bucket absorbs runs of same-timestamp schedules; _pending
-            # is a live counter maintained by schedule/cancel/step.
-            # Neither container is ever rebound — run loops hold locals.
-            self._heap: List[list] = []
-            self._bucket: deque = deque()
-            self._bucket_time: float = start
-            self._last_time: Optional[float] = None
+            # Fast kernel: mutable [time, seq, fn, arg] entries, one slot
+            # per distinct pending timestamp — the entry itself while it
+            # is alone there, else a FIFO of them in schedule (= sequence)
+            # order — and a heap of those timestamps; _pending_count is a
+            # live counter maintained by schedule/cancel/step.  Neither
+            # container is ever rebound — run loops hold locals.
+            self._heap: List[float] = []
+            self._slots: Dict[float, Any] = {}
             self._pending_count = 0
         else:
             # Reference heap: immutable (time, seq, fn, arg) tuples plus
@@ -183,21 +185,14 @@ class Simulator:
         # past-check): this is the hottest call in a full-pool run.
         time = self.now + delay
         entry = EventHandle((time, next(self._sequence), fn, arg))
-        bucket = self._bucket
-        if bucket:
-            if time == self._bucket_time:
-                bucket.append(entry)
-            else:
-                heapq.heappush(self._heap, entry)
-        elif time == self._last_time:
-            # Second same-instant schedule in a row: a run is starting,
-            # open the bucket for it.  (The first went to the heap with
-            # a smaller sequence, so ordering still holds.)
-            self._bucket_time = time
-            bucket.append(entry)
+        slot = self._slots.get(time)
+        if slot is None:
+            self._slots[time] = entry
+            heapq.heappush(self._heap, time)
+        elif type(slot) is EventHandle:
+            self._slots[time] = deque((slot, entry))
         else:
-            self._last_time = time
-            heapq.heappush(self._heap, entry)
+            slot.append(entry)
         self._pending_count += 1
         return entry
 
@@ -213,24 +208,14 @@ class Simulator:
             self._live.add(seq)
             return EventHandle((time, seq))
         entry = EventHandle((time, seq, fn, arg))
-        bucket = self._bucket
-        if bucket:
-            # Invariant: while the bucket is open at _bucket_time, every
-            # schedule at that instant appends here — so heap-resident
-            # entries at the same instant (pushed before it opened) all
-            # carry smaller sequences and still fire first.
-            if time == self._bucket_time:
-                bucket.append(entry)
-            else:
-                heapq.heappush(self._heap, entry)
-        elif time == self._last_time:
-            # Open the bucket lazily, on the second same-instant
-            # schedule in a row — sparse timer loads stay pure-heap.
-            self._bucket_time = time
-            bucket.append(entry)
+        slot = self._slots.get(time)
+        if slot is None:
+            self._slots[time] = entry
+            heapq.heappush(self._heap, time)
+        elif type(slot) is EventHandle:
+            self._slots[time] = deque((slot, entry))
         else:
-            self._last_time = time
-            heapq.heappush(self._heap, entry)
+            slot.append(entry)
         self._pending_count += 1
         return entry
 
@@ -264,18 +249,21 @@ class Simulator:
     # -- execution ---------------------------------------------------------
 
     def _head(self) -> Optional[list]:
-        """Fast kernel: the next live entry (heads cleaned), unpopped."""
-        heap = self._heap
-        while heap and heap[0][2] is None:
-            heapq.heappop(heap)
-        bucket = self._bucket
-        while bucket and bucket[0][2] is None:
-            bucket.popleft()
-        if bucket:
-            if heap and heap[0] < bucket[0]:
-                return heap[0]
-            return bucket[0]
-        return heap[0] if heap else None
+        """Fast kernel: the next live entry, still in its slot (dead
+        entries and spent slots ahead of it are dropped)."""
+        heap, slots = self._heap, self._slots
+        while heap:
+            slot = slots[heap[0]]
+            if type(slot) is EventHandle:
+                if slot[2] is not None:
+                    return slot
+            else:
+                while slot and slot[0][2] is None:
+                    slot.popleft()
+                if slot:
+                    return slot[0]
+            del slots[heapq.heappop(heap)]
+        return None
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next pending event, or None."""
@@ -312,11 +300,11 @@ class Simulator:
             head = self._head()
             if head is None:
                 return False
-            # pop whichever structure holds the head
-            if self._bucket and head is self._bucket[0]:
-                self._bucket.popleft()
+            slot = self._slots[head[0]]
+            if slot is head:
+                del self._slots[heapq.heappop(self._heap)]
             else:
-                heapq.heappop(self._heap)
+                slot.popleft()
             self._fire(head)
             return True
         when = self.peek_time()
@@ -342,78 +330,60 @@ class Simulator:
         """Process events up to and including simulated *time*."""
         if self._fast:
             # Inlined dispatch loop: no per-event method calls beyond
-            # the callback itself.  The past-event assertion is omitted
-            # here — schedule_at's guard makes it unreachable (step()
-            # still carries it).
-            heap = self._heap
-            bucket = self._bucket
+            # the callback itself.  The earliest slot is re-read after
+            # every lone event and every run, so a callback may
+            # schedule, cancel, step or peek.  The past-event assertion
+            # is omitted here — schedule_at's guard makes it unreachable
+            # (step() still carries it).
+            heap, slots = self._heap, self._slots
             registry = _metrics
             pop_heap = heapq.heappop
-            popleft = bucket.popleft
-            while True:
-                while heap and heap[0][2] is None:
-                    pop_heap(heap)
-                while bucket and bucket[0][2] is None:
-                    popleft()
-                if bucket:
-                    b0 = bucket[0]
-                    if heap and heap[0] < b0:
-                        entry = heap[0]
-                        if entry[0] > time:
-                            break
-                        pop_heap(heap)
-                    else:
-                        # The bucket head wins, and the rest of the
-                        # bucket shares its timestamp: nothing a fired
-                        # callback schedules can preempt the run
-                        # (same-instant schedules append behind us;
-                        # later times go to the heap, which already
-                        # lost).  Drain the run in one tight loop with
-                        # the clock write hoisted and the counters
-                        # batched.  The timestamp re-check guards the
-                        # one escape hatch: if the bucket momentarily
-                        # empties mid-run, a callback can re-open it at
-                        # a later instant.
-                        now_t = b0[0]
-                        if now_t > time:
-                            break
-                        self.now = now_t
-                        fired = 0
-                        while bucket:
-                            entry = bucket[0]
-                            if entry[0] != now_t:
-                                break
-                            popleft()
-                            fn = entry[2]
-                            if fn is None:
-                                continue
-                            entry[2] = None  # cancel-after-fire no-ops
-                            fired += 1
-                            if registry.enabled:
-                                _SIM_EVENTS.inc()
-                            arg = entry[3]
-                            if arg is _NO_ARG:
-                                fn()
-                            else:
-                                fn(arg)
-                        self.events_processed += fired
-                        self._pending_count -= fired
-                        continue
-                elif heap:
-                    entry = heap[0]
-                    if entry[0] > time:
-                        break
-                    pop_heap(heap)
-                else:
+            while heap:
+                now_t = heap[0]
+                if now_t > time:
                     break
-                self.now = entry[0]
+                slot = slots[now_t]
+                if type(slot) is not EventHandle:
+                    # A run of same-instant events: drain it in one
+                    # tight loop with the clock write hoisted and the
+                    # counters batched; nothing its callbacks schedule
+                    # can preempt it, and a spent run's slot is dropped
+                    # on the next pass.
+                    if not slot:
+                        del slots[pop_heap(heap)]
+                        continue
+                    self.now = now_t
+                    fired = 0
+                    popleft = slot.popleft
+                    while slot:
+                        entry = popleft()
+                        fn = entry[2]
+                        if fn is None:
+                            continue  # cancelled
+                        entry[2] = None  # mark fired: cancel-after-fire no-ops
+                        fired += 1
+                        if registry.enabled:
+                            _SIM_EVENTS.inc()
+                        arg = entry[3]
+                        if arg is _NO_ARG:
+                            fn()
+                        else:
+                            fn(arg)
+                    self.events_processed += fired
+                    self._pending_count -= fired
+                    continue
+                # A lone event leaves its slot before it runs.
+                del slots[pop_heap(heap)]
+                fn = slot[2]
+                if fn is None:
+                    continue  # cancelled
+                slot[2] = None
+                self.now = now_t
                 self.events_processed += 1
                 self._pending_count -= 1
-                fn = entry[2]
-                arg = entry[3]
-                entry[2] = None  # mark fired: cancel-after-fire is a no-op
                 if registry.enabled:
                     _SIM_EVENTS.inc()
+                arg = slot[3]
                 if arg is _NO_ARG:
                     fn()
                 else:

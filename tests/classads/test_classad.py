@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.classads import ClassAd, Literal, is_undefined, parse
+from repro.classads import ClassAd, Literal, fingerprint, is_undefined, parse
 
 
 class TestConstruction:
@@ -101,6 +101,27 @@ class TestMappingProtocol:
         dup["a"] = 2
         assert ad.evaluate("a") == 1
         assert dup.evaluate("a") == 2
+
+    def test_copy_shares_expressions_keeps_order_and_starts_with_empty_caches(self):
+        ad = ClassAd({"Type": "Machine", "ResearchGroup": ["a", "b"], "KeyboardIdle": 5})
+        ad["Rank"] = parse("other.Memory / 32")
+        ad.evaluate("Rank", other=ClassAd({"Memory": 64}))  # fills _ccache
+        fingerprint(ad)  # fills _fpcache
+        ad._derived = shape = ("a memoized shape",)
+        fpcache = ad._fpcache
+        dup = ad.copy()
+        assert dup.keys() == ad.keys() == ["Type", "ResearchGroup", "KeyboardIdle", "Rank"]
+        assert all(dup.lookup(name) is ad.lookup(name) for name in ad.keys())
+        assert dup._ccache is None and dup._fpcache is None and dup._derived is None
+        dup["keyboardidle"] = 6
+        dup["Memory"] = 64
+        del dup["Type"]
+        dup.evaluate("Rank", other=ClassAd({"Memory": 32}))
+        fingerprint(dup)
+        assert dup.keys() == ["ResearchGroup", "KeyboardIdle", "Rank", "Memory"]
+        assert ad.keys() == ["Type", "ResearchGroup", "KeyboardIdle", "Rank"]
+        assert ad.evaluate("KeyboardIdle") == 5
+        assert ad._fpcache is fpcache and ad._derived is shape
 
 
 class TestEquality:

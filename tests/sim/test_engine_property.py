@@ -1,11 +1,11 @@
 """Differential property suite for the two DES kernels.
 
-The fast bucketed kernel (the default) and the reference heap
+The fast slotted kernel (the default) and the reference heap
 (``REPRO_NO_FASTKERNEL=1``) must be observationally identical: same
 firing order, same clock, same ``pending()`` counts, for *any*
 interleaving of ``schedule`` / ``schedule_at`` / ``cancel`` / ``every``
 / ``step`` — including operations issued from inside callbacks, which
-is where the bucket's re-open edge cases live.  Hypothesis drives the
+is where a same-instant run's edge cases live.  Hypothesis drives the
 same randomly generated program through both kernels and compares every
 observable after every operation.
 """
@@ -49,7 +49,7 @@ class Driver:
             sim.run_until(sim.now + op[1])
         elif kind == "burst":
             # A callback that fans out same-instant events and cancels
-            # one mid-bucket — the pattern the fast kernel optimizes.
+            # one mid-run — the pattern the fast kernel optimizes.
             sim.schedule(op[1], self._burst, (op[2], op[3]))
         self.log.append(("after-op", sim.now, sim.pending(), sim.events_processed))
 
@@ -66,8 +66,8 @@ class Driver:
             sim.schedule(0.0, self._fire, ("burst", i)) for i in range(count)
         ]
         sim.cancel(burst_handles[count // 2])
-        # Re-entrant scheduling at a *later* instant while the bucket
-        # drains: exercises the bucket re-open path.
+        # Re-entrant scheduling at a *later* instant while the run
+        # drains: that instant gets a slot of its own.
         sim.schedule(nested_delay, self._fire, "post-burst")
 
     def finish(self):
@@ -133,7 +133,7 @@ class TestCancellationLeak:
             sim.cancel(handle)  # already fired: must be a no-op
             sim.cancel(handle)  # and idempotent
         assert sim.pending() == 0
-        assert not sim._heap and not sim._bucket
+        assert not sim._heap and not sim._slots
 
     def test_cancel_after_fire_leaves_no_residue_reference(self):
         sim = Simulator(fast=False)
@@ -164,4 +164,4 @@ class TestCancellationLeak:
                 sim.cancel(handle)
             sim.run_until(sim.now + 2.0)
             assert sim.pending() == 0
-        assert len(sim._heap) + len(sim._bucket) <= 20
+        assert len(sim._slots) <= 20
