@@ -36,9 +36,7 @@ from repro.matchmaking import (
     CycleStats,
     Matchmaker,
     ProviderIndex,
-    batching_enabled,
     negotiation_cycle,
-    set_batching,
 )
 from repro.sim import RngStream
 
@@ -116,11 +114,13 @@ def build_requests(n, rng, distinct=None):
     return requests
 
 
-def run_cycle(providers, requests, use_index):
+def run_cycle(providers, requests, use_index, batch=True):
     stats = CycleStats()
     index = ProviderIndex(providers) if use_index else None
     start = time.perf_counter()
-    assignments = negotiation_cycle(requests, providers, index=index, stats=stats)
+    assignments = negotiation_cycle(
+        requests, providers, index=index, stats=stats, batch=batch
+    )
     elapsed = time.perf_counter() - start
     return assignments, elapsed, stats
 
@@ -233,77 +233,74 @@ def _measure_overhead(n_machines, n_requests, repeats):
     rng = RngStream(n_machines, "pool")
     providers = build_pool(n_machines, rng.fork("machines"))
     requests = build_requests(n_requests, rng.fork("jobs"))
-    batching_before = batching_enabled()
-    set_batching(False)
-    try:
-        run_cycle(providers, requests, True)  # warm-up
-        best = {
-            "off": float("inf"),
-            "metrics": float("inf"),
-            "events": float("inf"),
-            "tracing": float("inf"),
-        }
-        ratios = {
-            "metrics": float("inf"),
-            "events": float("inf"),
-            "tracing": float("inf"),
-        }
-        matched = 0
-        events_recorded = 0
-        for _ in range(repeats):
-            obs.disable()
-            obs.event_log.disable()
-            assignments, off_elapsed, _ = run_cycle(providers, requests, True)
-            matched = len(assignments)
-            best["off"] = min(best["off"], off_elapsed)
+    run_cycle(providers, requests, True, batch=False)  # warm-up
+    best = {
+        "off": float("inf"),
+        "metrics": float("inf"),
+        "events": float("inf"),
+        "tracing": float("inf"),
+    }
+    ratios = {
+        "metrics": float("inf"),
+        "events": float("inf"),
+        "tracing": float("inf"),
+    }
+    matched = 0
+    events_recorded = 0
+    for _ in range(repeats):
+        obs.disable()
+        obs.event_log.disable()
+        assignments, off_elapsed, _ = run_cycle(providers, requests, True, batch=False)
+        matched = len(assignments)
+        best["off"] = min(best["off"], off_elapsed)
 
-            obs.enable()  # metrics on, span tracing and events off
-            _, elapsed, _ = run_cycle(providers, requests, True)
-            best["metrics"] = min(best["metrics"], elapsed)
-            # Overhead is judged per repeat against the adjacent baseline
-            # run, then the minimum ratio wins: adjacent runs share the
-            # same machine conditions, so drift cancels instead of
-            # masquerading as instrumentation cost.
-            ratios["metrics"] = min(ratios["metrics"], elapsed / off_elapsed)
-            obs.disable()
+        obs.enable()  # metrics on, span tracing and events off
+        _, elapsed, _ = run_cycle(providers, requests, True, batch=False)
+        best["metrics"] = min(best["metrics"], elapsed)
+        # Overhead is judged per repeat against the adjacent baseline
+        # run, then the minimum ratio wins: adjacent runs share the
+        # same machine conditions, so drift cancels instead of
+        # masquerading as instrumentation cost.
+        ratios["metrics"] = min(ratios["metrics"], elapsed / off_elapsed)
+        obs.disable()
 
-            obs.event_log.enable()
-            seq_before = obs.event_log._seq
-            _, elapsed, _ = run_cycle(providers, requests, True)
-            best["events"] = min(best["events"], elapsed)
-            ratios["events"] = min(ratios["events"], elapsed / off_elapsed)
-            events_recorded = obs.event_log._seq - seq_before
-            obs.event_log.reset()
-            obs.event_log.disable()
+        obs.event_log.enable()
+        seq_before = obs.event_log._seq
+        _, elapsed, _ = run_cycle(providers, requests, True, batch=False)
+        best["events"] = min(best["events"], elapsed)
+        ratios["events"] = min(ratios["events"], elapsed / off_elapsed)
+        events_recorded = obs.event_log._seq - seq_before
+        obs.event_log.reset()
+        obs.event_log.disable()
 
-            # Tracing-enabled config: the full recorded-chaos stack —
-            # forensic events AND the causal tracer — plus the tracer's
-            # actual per-match work in a traced negotiation: one
-            # negotiate.match span per assignment (the Negotiator's
-            # stitch; send/recv spans are per-message, not per-cycle,
-            # so they belong to the network layer's budget).
-            obs.event_log.enable()
-            obs.causal_log.enable()
-            root = obs.causal_log.start_trace("bench.cycle", "cycle")
-            traced_assignments, cycle_elapsed, _ = run_cycle(providers, requests, True)
-            t0 = time.perf_counter()
-            for assignment in traced_assignments:
-                obs.causal_log.span(
-                    "negotiate.match",
-                    parent=root,
-                    submitter=assignment.submitter,
-                )
-            # run_cycle times the cycle alone (index build excluded), so
-            # add the span loop on the same basis as off_elapsed.
-            elapsed = cycle_elapsed + (time.perf_counter() - t0)
-            best["tracing"] = min(best["tracing"], elapsed)
-            ratios["tracing"] = min(ratios["tracing"], elapsed / off_elapsed)
-            obs.causal_log.reset()
-            obs.causal_log.disable()
-            obs.event_log.reset()
-            obs.event_log.disable()
-    finally:
-        set_batching(batching_before)
+        # Tracing-enabled config: the full recorded-chaos stack —
+        # forensic events AND the causal tracer — plus the tracer's
+        # actual per-match work in a traced negotiation: one
+        # negotiate.match span per assignment (the Negotiator's
+        # stitch; send/recv spans are per-message, not per-cycle,
+        # so they belong to the network layer's budget).
+        obs.event_log.enable()
+        obs.causal_log.enable()
+        root = obs.causal_log.start_trace("bench.cycle", "cycle")
+        traced_assignments, cycle_elapsed, _ = run_cycle(
+            providers, requests, True, batch=False
+        )
+        t0 = time.perf_counter()
+        for assignment in traced_assignments:
+            obs.causal_log.span(
+                "negotiate.match",
+                parent=root,
+                submitter=assignment.submitter,
+            )
+        # run_cycle times the cycle alone (index build excluded), so
+        # add the span loop on the same basis as off_elapsed.
+        elapsed = cycle_elapsed + (time.perf_counter() - t0)
+        best["tracing"] = min(best["tracing"], elapsed)
+        ratios["tracing"] = min(ratios["tracing"], elapsed / off_elapsed)
+        obs.causal_log.reset()
+        obs.causal_log.disable()
+        obs.event_log.reset()
+        obs.event_log.disable()
     return best, ratios, matched, events_recorded
 
 
@@ -320,22 +317,20 @@ def _measure_compile_speedup(n_machines, n_requests, repeats):
     providers = build_pool(n_machines, rng.fork("machines"))
     requests = build_requests(n_requests, rng.fork("jobs"))
     enabled_before = compiled_path.compilation_enabled()
-    batching_before = batching_enabled()
-    set_batching(False)  # isolate the evaluator, as the PR 3 bar did
     best = {"compiled": float("inf"), "interpreted": float("inf")}
+    # Unbatched cycles isolate the evaluator, as the PR 3 bar did.
     try:
         compiled_path.set_compilation(True)
-        run_cycle(providers, requests, True)  # warm-up + cache fill
+        run_cycle(providers, requests, True, batch=False)  # warm-up + cache fill
         for _ in range(repeats):
             compiled_path.set_compilation(True)
-            _, elapsed, _ = run_cycle(providers, requests, True)
+            _, elapsed, _ = run_cycle(providers, requests, True, batch=False)
             best["compiled"] = min(best["compiled"], elapsed)
             compiled_path.set_compilation(False)
-            _, elapsed, _ = run_cycle(providers, requests, True)
+            _, elapsed, _ = run_cycle(providers, requests, True, batch=False)
             best["interpreted"] = min(best["interpreted"], elapsed)
     finally:
         compiled_path.set_compilation(enabled_before)
-        set_batching(batching_before)
     return best
 
 
@@ -354,32 +349,23 @@ def _measure_batch_speedup(n_machines, n_requests, repeats, distinct=12):
     providers = build_pool(n_machines, rng.fork("machines"))
     requests = build_requests(n_requests, rng.fork("jobs"), distinct=distinct)
     persistent = ProviderIndex(providers)
-    batching_before = batching_enabled()
     best = {"unbatched": float("inf"), "batched": float("inf")}
     classes = 0
-    try:
-        set_batching(True)
-        negotiation_cycle(requests, providers, index=persistent)  # warm-up
-        for _ in range(repeats):
-            set_batching(False)
-            start = time.perf_counter()
-            index = ProviderIndex(providers)  # PR 3 rebuilt this per cycle
-            baseline = negotiation_cycle(requests, providers, index=index)
-            best["unbatched"] = min(best["unbatched"], time.perf_counter() - start)
+    negotiation_cycle(requests, providers, index=persistent)  # warm-up
+    for _ in range(repeats):
+        start = time.perf_counter()
+        index = ProviderIndex(providers)  # PR 3 rebuilt this per cycle
+        baseline = negotiation_cycle(requests, providers, index=index, batch=False)
+        best["unbatched"] = min(best["unbatched"], time.perf_counter() - start)
 
-            set_batching(True)
-            stats = CycleStats()
-            start = time.perf_counter()
-            batched = negotiation_cycle(
-                requests, providers, index=persistent, stats=stats
-            )
-            best["batched"] = min(best["batched"], time.perf_counter() - start)
-            classes = stats.request_classes
-            assert [
-                (a.submitter, a.provider.evaluate("Name")) for a in baseline
-            ] == [(a.submitter, a.provider.evaluate("Name")) for a in batched]
-    finally:
-        set_batching(batching_before)
+        stats = CycleStats()
+        start = time.perf_counter()
+        batched = negotiation_cycle(requests, providers, index=persistent, stats=stats)
+        best["batched"] = min(best["batched"], time.perf_counter() - start)
+        classes = stats.request_classes
+        assert [
+            (a.submitter, a.provider.evaluate("Name")) for a in baseline
+        ] == [(a.submitter, a.provider.evaluate("Name")) for a in batched]
     return best, classes
 
 

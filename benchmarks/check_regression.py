@@ -32,11 +32,6 @@ GATED = {
     # on steady-state collector ingest (baseline seeded at 2.5 so the
     # default 20% tolerance floor equals the 2x acceptance bar).
     "ADV_advertising": ("advertising_ingest_speedup",),
-    # PR 10: the fast bucketed kernel must keep beating the reference
-    # heap on burst dispatch (baseline seeded at 2.5 so the default 20%
-    # tolerance floor equals the 2x acceptance bar).  Wheel/churn/pool
-    # ratios in the same record are informational.
-    "ENGINE_substrate": ("engine_event_throughput",),
 }
 
 

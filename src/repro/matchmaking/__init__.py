@@ -67,9 +67,7 @@ from .matchmaker import (
     Assignment,
     CycleStats,
     Matchmaker,
-    batching_enabled,
     negotiation_cycle,
-    set_batching,
 )
 from .query import count_matching, one_way_match, select
 
@@ -109,11 +107,9 @@ __all__ = [
     "ProviderIndex",
     "SubmitterRecord",
     "availability_of",
-    "batching_enabled",
     "best_match",
     "current_owner_of",
     "current_rank_of",
-    "set_batching",
     "conjuncts",
     "constraint_holds",
     "constraints_satisfied",

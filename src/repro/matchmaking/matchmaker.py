@@ -21,10 +21,10 @@ The cycle has one scorer, one oracle, and three stages.
 
 **The oracle** (:func:`_naive_try_match`) is the paper read literally:
 for each request scan the providers, evaluate both Constraints and both
-Ranks per pair, keep the best.  ``batch=False``, ``REPRO_NO_BATCH=1`` or
-:func:`set_batching` selects it; the differential suites hold the scorer
-to it — same matches, same preemptions, same tie-breaks, and (with the
-event log on) the same forensic event stream.
+Ranks per pair, keep the best.  ``negotiation_cycle(batch=False)``
+selects it; the differential suites hold the scorer to it — same
+matches, same preemptions, same tie-breaks, and (with the event log on)
+the same forensic event stream.
 
 **The scorer** exploits Section 5's observation that ad lists "exhibit a
 high degree of regularity" through one notion, used on both sides.  An
@@ -60,7 +60,6 @@ import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .._env import env_flag
 from ..classads import ClassAd
 from ..classads.ast import (
     AttributeRef,
@@ -138,20 +137,6 @@ def reset_cycle_ids() -> None:
     identical)."""
     global _CYCLE_IDS
     _CYCLE_IDS = itertools.count(1)
-
-
-_BATCH_ENABLED = not env_flag("REPRO_NO_BATCH")
-
-
-def batching_enabled() -> bool:
-    """Whether request batching is active (see ``REPRO_NO_BATCH``)."""
-    return _BATCH_ENABLED
-
-
-def set_batching(enabled: bool) -> None:
-    """Programmatic kill-switch (benchmarks and tests toggle this)."""
-    global _BATCH_ENABLED
-    _BATCH_ENABLED = bool(enabled)
 
 
 def _identity_field(ad: ClassAd, name: str):
@@ -1103,7 +1088,7 @@ def negotiation_cycle(
     allow_preemption: bool = True,
     index: Optional[ProviderIndex] = None,
     stats: Optional[CycleStats] = None,
-    batch: Optional[bool] = None,
+    batch: bool = True,
 ) -> List[Assignment]:
     """Run one negotiation cycle and return the assignments.
 
@@ -1124,11 +1109,9 @@ def negotiation_cycle(
     ``CurrentRank`` — Section 4's "it is still interested in hearing
     from higher priority customers".
 
-    ``batch`` overrides the module-level batching switch for this cycle
-    (None follows :func:`batching_enabled`): False serves every request
-    through the per-pair oracle.  Both produce identical assignments;
-    the class engine evaluates each distinct (class, provider) pairing
-    once.
+    ``batch=False`` serves every request through the per-pair oracle.
+    Both produce identical assignments; the class engine evaluates each
+    distinct (class, provider) pairing once.
 
     The cycle only *identifies* matches; claiming is the parties' own
     business (separation of matching and claiming).
@@ -1136,7 +1119,6 @@ def negotiation_cycle(
     start = time.perf_counter()
     stats = stats if stats is not None else CycleStats()
     base = replace(stats)
-    use_batch = _BATCH_ENABLED if batch is None else bool(batch)
     submitters = list(requests_by_submitter.keys())
     if accountant is not None:
         submitters = accountant.negotiation_order(submitters)
@@ -1144,7 +1126,7 @@ def negotiation_cycle(
         submitters.sort()
 
     cycle = _Cycle(providers, policy, allow_preemption, index, stats)
-    table = _ClassTable() if use_batch else None
+    table = _ClassTable() if batch else None
     emit_events = cycle.emit_events
     base_cache_hits = _compiled_cache_hits() if emit_events else 0
     if emit_events:
@@ -1154,7 +1136,7 @@ def negotiation_cycle(
             submitters=len(submitters),
             providers=len(providers),
             indexed=index is not None,
-            batched=use_batch,
+            batched=batch,
         )
 
     # Pie slices: cap the first round at each submitter's fair share of

@@ -109,7 +109,8 @@ class Retransmitter:
 
     # The retransmit state rides the kernel's argument slot as one
     # (message, stop_when, policy, attempt) tuple — no closure per
-    # copy/attempt (bench_engine.py's anatomy check asserts this).
+    # copy/attempt (tests/sim/test_engine.py's TestDispatchAnatomy
+    # asserts this).
 
     def _arm(self, state) -> None:
         pol = state[2]

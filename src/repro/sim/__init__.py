@@ -19,13 +19,7 @@ from .chaos import (
     chaos_profile,
     plan_from_env,
 )
-from .engine import (
-    EventHandle,
-    PeriodicTask,
-    Simulator,
-    fast_kernel_enabled,
-    set_fast_kernel,
-)
+from .engine import EventHandle, PeriodicTask, Simulator
 from .metrics import PoolMetrics, RunningStats, UtilizationTracker
 from .network import Network, NetworkStats
 from .rng import RngStream
@@ -39,8 +33,6 @@ __all__ = [
     "DuplicationWindow",
     "EventHandle",
     "LossWindow",
-    "fast_kernel_enabled",
-    "set_fast_kernel",
     "PartitionWindow",
     "chaos_profile",
     "plan_from_env",

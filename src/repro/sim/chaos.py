@@ -174,7 +174,7 @@ class ChaosController:
 
         Everything scheduled here uses the kernel's argument-passing
         API (``schedule_at(t, fn, arg)``) — no per-window closures, so
-        the event-queue anatomy check in ``bench_engine.py`` can assert
+        ``tests/sim/test_engine.py``'s ``TestDispatchAnatomy`` can assert
         a closure-free queue even with a chaos plan armed.
         """
         net.install_chaos(self)

@@ -22,8 +22,7 @@ Throughput: the clean configuration (no chaos, no loss, no jitter —
 the steady-state benchmark shape) takes an allocation-free send fast
 path that schedules ``(deliver, message)`` directly on the kernel; see
 :meth:`Network.send`.  Eligibility is precomputed into ``_fast_send``
-and recomputed on every configuration change, and the
-``REPRO_NO_FASTKERNEL`` kill-switch forces the reference slow path.
+and recomputed on every configuration change.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from typing import Callable, Dict, Optional
 
 from ..obs import metrics as _metrics
 from ..obs.causal import causal_log as _causal
-from . import engine as _engine
 from .engine import Simulator
 from .rng import RngStream
 
@@ -172,15 +170,13 @@ class Network:
         ``(deliver, message)`` schedule, no closure, no RNG draw, no
         getattr chain.  The conditions guarantee the slow path would
         have made byte-identical decisions, so the fast path is pure
-        strength reduction; ``REPRO_NO_FASTKERNEL=1`` disables it along
-        with the kernel fast path.
+        strength reduction.
         """
         if (
             self._fast_send
             and not self._down
             and not _causal.enabled
             and not _metrics.enabled
-            and _engine._fast_kernel
         ):
             self.stats.sent += 1
             self.sim.schedule(self.latency, self._deliver_cb, message)

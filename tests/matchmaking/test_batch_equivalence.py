@@ -21,9 +21,7 @@ from repro.matchmaking import (
     CycleStats,
     Matchmaker,
     ProviderIndex,
-    batching_enabled,
     negotiation_cycle,
-    set_batching,
 )
 from repro.obs import event_log
 
@@ -307,20 +305,25 @@ class TestQuotaRounding:
         assert len(assignments) == len(providers)
 
 
-class TestKillSwitch:
-    def test_set_batching_toggles(self):
+class TestOracleSeam:
+    def test_batch_false_routes_through_the_oracle(self, monkeypatch):
+        from repro.matchmaking import matchmaker
+
         providers = [machine(f"m{i}") for i in range(3)]
         grouped = {"alice": [request("alice", i) for i in range(4)]}
-        original = batching_enabled()
-        try:
-            set_batching(False)
-            _, stats_off = run_cycle(providers, grouped, batch=None, use_index=False)
-            set_batching(True)
-            _, stats_on = run_cycle(providers, grouped, batch=None, use_index=False)
-        finally:
-            set_batching(original)
-        assert stats_off.request_classes == 0
-        assert stats_off.pairings_saved == 0
+        served = []
+        oracle = matchmaker._naive_try_match
+
+        def counting_oracle(cycle, submitter, req):
+            served.append(req.evaluate("JobId"))
+            return oracle(cycle, submitter, req)
+
+        monkeypatch.setattr(matchmaker, "_naive_try_match", counting_oracle)
+        _, stats_off = run_cycle(providers, grouped, batch=False, use_index=False)
+        assert served == [0, 1, 2, 3]
+        _, stats_on = run_cycle(providers, grouped, batch=True, use_index=False)
+        assert served == [0, 1, 2, 3]
+        assert (stats_off.request_classes, stats_off.pairings_saved) == (0, 0)
         assert stats_on.request_classes == 1
         assert stats_on.pairings_saved > 0
 

@@ -1,10 +1,15 @@
 """Unit + property tests for the DES kernel (S12)."""
 
+import functools
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator
+from repro.protocols.retry import BackoffPolicy, Retransmitter
+from repro.sim import Network, RngStream, Simulator
+from repro.sim.chaos import ChaosController, ChaosPlan, CrashWindow, PartitionWindow
 
 
 class TestScheduling:
@@ -46,6 +51,21 @@ class TestScheduling:
             sim.schedule(-1.0, lambda: None)
         with pytest.raises(ValueError):
             sim.schedule_at(5.0, lambda: None)
+
+    def test_nan_time_rejected_at_every_entry_point(self):
+        # Every comparison with NaN is false, so a guard written as
+        # ``delay < 0`` let a NaN event in, and it fired first.
+        nan = float("nan")
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            sim.schedule(nan, lambda: None)
+        with pytest.raises(ValueError):
+            sim.schedule_at(nan, lambda: None)
+        with pytest.raises(ValueError):
+            sim.every(nan, lambda: None)
+        with pytest.raises(ValueError):
+            sim.every(1.0, lambda: None, start_delay=nan)
+        assert sim.pending() == 0
 
     def test_events_scheduled_during_execution(self):
         sim = Simulator()
@@ -108,11 +128,14 @@ class TestRunUntil:
         assert sim.pending() == 1
 
     def test_run_max_events(self):
-        sim = Simulator()
-        for _ in range(10):
-            sim.schedule(1.0, lambda: None)
-        assert sim.run(max_events=4) == 4
-        assert sim.pending() == 6
+        for cap in (4, 0):
+            sim = Simulator()
+            fired = []
+            for _ in range(10):
+                sim.schedule(1.0, fired.append, cap)
+            assert sim.run(max_events=cap) == cap
+            assert len(fired) == cap
+            assert sim.pending() == 10 - cap
 
 
 class TestPeriodicTask:
@@ -186,3 +209,48 @@ class TestCausalityProperty:
             )
         sim.run()
         assert seen == sorted(seen)
+
+
+def _noop(arg=None):
+    pass
+
+
+class _Probe:
+    sender = "schedd@s0"
+    recipient = "startd@m0"
+
+
+class TestDispatchAnatomy:
+    """The pool's timer machinery schedules bound methods plus an
+    argument, never a per-event closure or lambda."""
+
+    def test_armed_retransmitter_and_chaos_queue_is_closure_free(self):
+        sim = Simulator()
+        net = Network(sim, rng=RngStream(5), latency=0.01)
+        net.register("startd@m0", _noop)
+        retransmitter = Retransmitter(
+            sim, net, rng=RngStream(6), policy=BackoffPolicy(base=1.0, max_tries=3)
+        )
+        retransmitter.send(_Probe())
+        ChaosController(
+            ChaosPlan(
+                crashes=(CrashWindow(target="startd@m0", at=50.0, duration=10.0),),
+                partitions=(PartitionWindow(10.0, 20.0, "schedd@s0", "startd@m0"),),
+            )
+        ).arm(sim, net)
+        sim.every(5.0, _noop)
+        entries = [
+            entry
+            for slot in sim._slots.values()
+            for entry in (slot if isinstance(slot, deque) else [slot])
+            if entry[2] is not None
+        ]
+        assert entries, "nothing armed"
+        for entry in entries:
+            fn = entry[2]
+            if isinstance(fn, functools.partial):
+                fn = fn.func
+            code_holder = getattr(fn, "__func__", fn)
+            assert getattr(code_holder, "__name__", "") != "<lambda>", fn
+            assert getattr(code_holder, "__closure__", None) is None, fn
+        sim.run_until(200.0)

@@ -1,27 +1,81 @@
-"""Differential property suite for the two DES kernels.
+"""Property suite for the DES kernel against a model of its order.
 
-The fast slotted kernel (the default) and the reference heap
-(``REPRO_NO_FASTKERNEL=1``) must be observationally identical: same
-firing order, same clock, same ``pending()`` counts, for *any*
-interleaving of ``schedule`` / ``schedule_at`` / ``cancel`` / ``every``
-/ ``step`` — including operations issued from inside callbacks, which
-is where a same-instant run's edge cases live.  Hypothesis drives the
-same randomly generated program through both kernels and compares every
-observable after every operation.
+The kernel's contract is small: live events fire in ``(time, sequence)``
+order, the clock jumps to each event's time, and ``pending()`` counts
+the live ones — for *any* interleaving of ``schedule`` / ``schedule_at``
+/ ``cancel`` / ``every`` / ``step``, including operations issued from
+inside callbacks, which is where a same-instant run's edge cases live.
+:class:`Model` states that contract as a plain list fired in sorted
+order.  Hypothesis drives the same randomly generated program through
+the kernel and the model and compares every observable after every
+operation.
 """
+
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator
+from repro.sim import PeriodicTask, Simulator
+
+_NO_ARG = object()
+
+
+class Model:
+    """The firing order's specification: live ``[time, seq, fn, arg]``
+    entries, the earliest ``(time, seq)`` fired first."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self.live = []
+        self.sequence = itertools.count()
+
+    def schedule_at(self, time, fn, arg=_NO_ARG):
+        entry = [time, next(self.sequence), fn, arg]
+        self.live.append(entry)
+        return entry
+
+    def schedule(self, delay, fn, arg=_NO_ARG):
+        return self.schedule_at(self.now + delay, fn, arg)
+
+    def cancel(self, entry):
+        self.live = [e for e in self.live if e is not entry]
+
+    def every(self, interval, callback):
+        task = PeriodicTask(self, interval, callback)
+        task._arm(interval)
+        return task
+
+    def step(self):
+        if not self.live:
+            return False
+        entry = min(self.live, key=lambda e: (e[0], e[1]))
+        self.cancel(entry)
+        self.now = entry[0]
+        self.events_processed += 1
+        if entry[3] is _NO_ARG:
+            entry[2]()
+        else:
+            entry[2](entry[3])
+        return True
+
+    def run_until(self, time):
+        while self.live and min(e[0] for e in self.live) <= time:
+            self.step()
+        self.now = max(self.now, time)
+
+    def pending(self):
+        return len(self.live)
 
 
 class Driver:
-    """Interprets one operation program against one kernel, recording
-    every observable (firings, clock, pending counts) in a log."""
+    """Interprets one operation program against one kernel (or the
+    model), recording every observable (firings, clock, pending counts)
+    in a log."""
 
-    def __init__(self, fast: bool):
-        self.sim = Simulator(fast=fast)
+    def __init__(self, sim):
+        self.sim = sim
         self.log = []
         self.handles = []
         self.tasks = []
@@ -49,7 +103,7 @@ class Driver:
             sim.run_until(sim.now + op[1])
         elif kind == "burst":
             # A callback that fans out same-instant events and cancels
-            # one mid-run — the pattern the fast kernel optimizes.
+            # one mid-run — the pattern the slotted queue optimizes.
             sim.schedule(op[1], self._burst, (op[2], op[3]))
         self.log.append(("after-op", sim.now, sim.pending(), sim.events_processed))
 
@@ -100,25 +154,25 @@ operations = st.one_of(
 )
 
 
-class TestKernelEquivalence:
+class TestKernelModel:
     @given(st.lists(operations, max_size=40))
     @settings(max_examples=200, deadline=None)
-    def test_fast_and_reference_kernels_agree(self, program):
-        drivers = [Driver(fast=True), Driver(fast=False)]
+    def test_kernel_agrees_with_model(self, program):
+        drivers = [Driver(Simulator()), Driver(Model())]
         for op in program:
             for driver in drivers:
                 driver.apply(op)
-        fast_result, ref_result = (driver.finish() for driver in drivers)
-        assert fast_result == ref_result
+        kernel_result, model_result = (driver.finish() for driver in drivers)
+        assert kernel_result == model_result
 
     @given(st.lists(st.tuples(delays, tags), max_size=50))
     @settings(max_examples=100, deadline=None)
-    def test_handles_agree_across_kernels(self, events):
-        fast, ref = Simulator(fast=True), Simulator(fast=False)
+    def test_handles_carry_time_and_sequence(self, events):
+        sim, model = Simulator(), Model()
         for delay, _tag in events:
-            a = fast.schedule(delay, lambda: None)
-            b = ref.schedule(delay, lambda: None)
-            assert (a.time, a.sequence) == (b.time, b.sequence)
+            handle = sim.schedule(delay, lambda: None)
+            entry = model.schedule(delay, lambda: None)
+            assert (handle.time, handle.sequence) == (entry[0], entry[1])
 
 
 class TestCancellationLeak:
@@ -126,7 +180,7 @@ class TestCancellationLeak:
     set forever when the event had already fired."""
 
     def test_cancel_after_fire_leaves_no_residue_fast(self):
-        sim = Simulator(fast=True)
+        sim = Simulator()
         for _ in range(100):
             handle = sim.schedule(1.0, lambda: None)
             sim.run_until(sim.now + 2.0)
@@ -135,29 +189,18 @@ class TestCancellationLeak:
         assert sim.pending() == 0
         assert not sim._heap and not sim._slots
 
-    def test_cancel_after_fire_leaves_no_residue_reference(self):
-        sim = Simulator(fast=False)
-        for _ in range(100):
-            handle = sim.schedule(1.0, lambda: None)
-            sim.run_until(sim.now + 2.0)
-            sim.cancel(handle)
-            sim.cancel(handle)
-        assert sim.pending() == 0
-        assert not sim._live
-
     def test_double_cancel_keeps_pending_exact(self):
-        for fast in (True, False):
-            sim = Simulator(fast=fast)
-            handle = sim.schedule(1.0, lambda: None)
-            sim.schedule(2.0, lambda: None)
-            sim.cancel(handle)
-            sim.cancel(handle)
-            assert sim.pending() == 1, f"fast={fast}"
+        sim = Simulator()
+        handle = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.cancel(handle)
+        sim.cancel(handle)
+        assert sim.pending() == 1
 
     def test_cancelled_entries_do_not_accumulate(self):
         # Cancel-heavy churn must not grow the queue without bound: dead
         # entries are swept as they reach the head.
-        sim = Simulator(fast=True)
+        sim = Simulator()
         for round_number in range(50):
             handles = [sim.schedule(1.0, lambda: None) for _ in range(20)]
             for handle in handles:

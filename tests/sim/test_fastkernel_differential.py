@@ -1,11 +1,8 @@
-"""Fast kernel vs reference kernel: end-to-end differential checks.
+"""Slotted event kernel: end-to-end determinism of chaos recordings.
 
-The `REPRO_NO_FASTKERNEL` kill-switch must be purely a performance
-choice: same-seed pool runs, chaos recordings, and pool snapshots are
-required to be bitwise identical whichever kernel executes them.  These
-tests flip the switch with :func:`set_fast_kernel` and compare whole
-artifacts, plus unit-check the network send fast path's eligibility
-bookkeeping.
+The simulator runs on one kernel, the slotted fast kernel.  Two same-seed
+``cm-crash`` chaos runs through it must produce bitwise-identical trace and
+series streams, and event streams that differ only in wall-clock fields.
 """
 
 import json
@@ -13,81 +10,27 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.condor import CondorPool, Job, MachineSpec, PoissonOwner, PoolConfig
-from repro.obs import metrics
-from repro.sim import Network, RngStream, Simulator, set_fast_kernel
-
-
-def with_kernel(fast, fn):
-    set_fast_kernel(fast)
-    try:
-        return fn()
-    finally:
-        set_fast_kernel(None)
-
-
-def run_pool_fingerprint():
-    specs = [MachineSpec(name=f"m{i}") for i in range(5)]
-    owner_models = {
-        spec.name: PoissonOwner(mean_active=600.0, mean_idle=900.0) for spec in specs
-    }
-    pool = CondorPool(
-        specs,
-        PoolConfig(
-            seed=31,
-            advertise_interval=120.0,
-            negotiation_interval=120.0,
-            network_loss=0.05,
-            network_jitter=0.5,
-        ),
-        owner_models=owner_models,
-    )
-    for i in range(12):
-        pool.submit(Job(owner="alice" if i % 2 else "bob", total_work=700.0))
-    pool.run_until(15_000.0)
-    m = pool.metrics
-    return (
-        m.jobs_completed,
-        m.claims_attempted,
-        m.claims_rejected,
-        round(m.goodput, 9),
-        round(m.badput, 9),
-        pool.sim.events_processed,
-        pool.collector.snapshot(),
-    )
-
-
-class TestPoolDifferential:
-    def test_pool_history_and_snapshot_identical_across_kernels(self):
-        fast = with_kernel(True, run_pool_fingerprint)
-        reference = with_kernel(False, run_pool_fingerprint)
-        assert fast == reference
 
 
 class TestChaosRecordingDifferential:
     @pytest.fixture(scope="class")
     def recordings(self, tmp_path_factory):
-        """Same-seed cm-crash recordings: two per kernel mode."""
+        """Two same-seed cm-crash recordings."""
         runs = {}
-        for mode, fast in (("fast", True), ("reference", False)):
-            set_fast_kernel(fast)
-            try:
-                for attempt in ("one", "two"):
-                    base = tmp_path_factory.mktemp(f"{mode}-{attempt}")
-                    paths = {
-                        "events": str(base / "events.jsonl"),
-                        "trace": str(base / "trace.jsonl"),
-                        "series": str(base / "series.jsonl"),
-                    }
-                    code = main(
-                        ["chaos", "cm-crash", "--machines", "4", "--jobs", "6",
-                         "--horizon", "1800", "--out", paths["events"],
-                         "--trace", paths["trace"], "--series", paths["series"]]
-                    )
-                    assert code == 0
-                    runs[(mode, attempt)] = paths
-            finally:
-                set_fast_kernel(None)
+        for attempt in ("one", "two"):
+            base = tmp_path_factory.mktemp(f"kernel-{attempt}")
+            paths = {
+                "events": str(base / "events.jsonl"),
+                "trace": str(base / "trace.jsonl"),
+                "series": str(base / "series.jsonl"),
+            }
+            code = main(
+                ["chaos", "cm-crash", "--machines", "4", "--jobs", "6",
+                 "--horizon", "1800", "--out", paths["events"],
+                 "--trace", paths["trace"], "--series", paths["series"]]
+            )
+            assert code == 0
+            runs[attempt] = paths
         return runs
 
     @staticmethod
@@ -102,105 +45,11 @@ class TestChaosRecordingDifferential:
                 records.append(record)
         return records
 
-    @pytest.mark.parametrize("mode", ["fast", "reference"])
-    def test_two_runs_bitwise_identical_within_mode(self, recordings, mode):
-        first, second = recordings[(mode, "one")], recordings[(mode, "two")]
+    def test_two_runs_bitwise_identical_within_mode(self, recordings):
+        first, second = recordings["one"], recordings["two"]
         for stream in ("trace", "series"):
             with open(first[stream]) as a, open(second[stream]) as b:
-                assert a.read() == b.read(), f"{mode}: {stream} differs across runs"
+                assert a.read() == b.read(), f"{stream} differs across runs"
         assert self.normalized_events(first["events"]) == self.normalized_events(
             second["events"]
         )
-
-    def test_recordings_identical_across_kernel_modes(self, recordings):
-        fast, reference = recordings[("fast", "one")], recordings[("reference", "one")]
-        for stream in ("trace", "series"):
-            with open(fast[stream]) as a, open(reference[stream]) as b:
-                assert a.read() == b.read(), f"{stream} differs across kernels"
-        assert self.normalized_events(fast["events"]) == self.normalized_events(
-            reference["events"]
-        )
-
-
-class _SizedPing:
-    def __init__(self, sender, recipient, payload=0):
-        self.sender = sender
-        self.recipient = recipient
-        self.payload = payload
-
-    def wire_size(self):
-        return 100
-
-
-class TestNetworkFastPath:
-    def test_eligibility_tracks_configuration(self):
-        net = Network(Simulator(), latency=0.1)
-        assert net._fast_send
-        net.loss = 0.2
-        assert not net._fast_send
-        net.loss = 0.0
-        assert net._fast_send
-        net.jitter = 1.0
-        assert not net._fast_send
-        net.jitter = 0.0
-        assert net._fast_send
-
-    def test_chaos_install_disables_fast_send(self):
-        from repro.sim.chaos import ChaosController, ChaosPlan
-
-        net = Network(Simulator(), latency=0.1)
-        net.install_chaos(ChaosController(ChaosPlan()))
-        assert not net._fast_send
-        net.install_chaos(None)
-        assert net._fast_send
-
-    def test_fast_and_slow_paths_deliver_identically(self):
-        def run(force_slow):
-            sim = Simulator()
-            net = Network(sim, latency=0.1)
-            if force_slow:
-                metrics.enable()
-            inbox = []
-            net.register("b", inbox.append)
-            try:
-                for i in range(20):
-                    net.send(_SizedPing("a", "b", i))
-                sim.run()
-            finally:
-                metrics.disable()
-                metrics.reset()
-            return ([m.payload for m in inbox], net.stats.sent, sim.now)
-
-        assert run(force_slow=False) == run(force_slow=True)
-
-    def test_revive_is_schedulable_without_closure(self):
-        sim = Simulator()
-        net = Network(sim, latency=0.1)
-        inbox = []
-        net.register("b", inbox.append)
-        net.set_down("b")
-        sim.schedule(1.0, net.revive, "b")
-        sim.schedule(2.0, net.send, _SizedPing("a", "b", 7))
-        sim.run()
-        assert [m.payload for m in inbox] == [7]
-
-    def test_bytes_sent_counts_only_while_metrics_enabled(self):
-        sim = Simulator()
-        net = Network(sim, latency=0.1)
-        net.register("b", lambda m: None)
-        net.send(_SizedPing("a", "b"))  # metrics off: not sized
-        assert net.stats.bytes_sent == 0
-        metrics.enable()
-        try:
-            net.send(_SizedPing("a", "b"))
-            assert net.stats.bytes_sent == 100
-
-            class Unsized:
-                sender = "a"
-                recipient = "b"
-
-            net.send(Unsized())  # no wire_size method → contributes 0
-        finally:
-            metrics.disable()
-            metrics.reset()
-        assert net.stats.bytes_sent == 100

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.obs import metrics
 from repro.sim import Network, RngStream, Simulator
 
 
@@ -214,3 +215,87 @@ class TestChaosFabric:
         sim.run()
         assert net.stats.dropped_loss + net.stats.delivered == 200
         assert 60 < net.stats.dropped_loss < 140
+
+
+class _SizedPing:
+    def __init__(self, sender, recipient, payload=0):
+        self.sender = sender
+        self.recipient = recipient
+        self.payload = payload
+
+    def wire_size(self):
+        return 100
+
+
+class TestNetworkFastPath:
+    def test_eligibility_tracks_configuration(self):
+        net = Network(Simulator(), latency=0.1)
+        assert net._fast_send
+        net.loss = 0.2
+        assert not net._fast_send
+        net.loss = 0.0
+        assert net._fast_send
+        net.jitter = 1.0
+        assert not net._fast_send
+        net.jitter = 0.0
+        assert net._fast_send
+
+    def test_chaos_install_disables_fast_send(self):
+        from repro.sim.chaos import ChaosController, ChaosPlan
+
+        net = Network(Simulator(), latency=0.1)
+        net.install_chaos(ChaosController(ChaosPlan()))
+        assert not net._fast_send
+        net.install_chaos(None)
+        assert net._fast_send
+
+    def test_fast_and_slow_paths_deliver_identically(self):
+        def run(force_slow):
+            sim = Simulator()
+            net = Network(sim, latency=0.1)
+            if force_slow:
+                metrics.enable()
+            inbox = []
+            net.register("b", inbox.append)
+            try:
+                for i in range(20):
+                    net.send(_SizedPing("a", "b", i))
+                sim.run()
+            finally:
+                metrics.disable()
+                metrics.reset()
+            return ([m.payload for m in inbox], net.stats.sent, sim.now)
+
+        assert run(force_slow=False) == run(force_slow=True)
+
+    def test_revive_is_schedulable_without_closure(self):
+        sim = Simulator()
+        net = Network(sim, latency=0.1)
+        inbox = []
+        net.register("b", inbox.append)
+        net.set_down("b")
+        sim.schedule(1.0, net.revive, "b")
+        sim.schedule(2.0, net.send, _SizedPing("a", "b", 7))
+        sim.run()
+        assert [m.payload for m in inbox] == [7]
+
+    def test_bytes_sent_counts_only_while_metrics_enabled(self):
+        sim = Simulator()
+        net = Network(sim, latency=0.1)
+        net.register("b", lambda m: None)
+        net.send(_SizedPing("a", "b"))  # metrics off: not sized
+        assert net.stats.bytes_sent == 0
+        metrics.enable()
+        try:
+            net.send(_SizedPing("a", "b"))
+            assert net.stats.bytes_sent == 100
+
+            class Unsized:
+                sender = "a"
+                recipient = "b"
+
+            net.send(Unsized())  # no wire_size method → contributes 0
+        finally:
+            metrics.disable()
+            metrics.reset()
+        assert net.stats.bytes_sent == 100
