@@ -76,8 +76,8 @@ def _volatile_for(period, i):
 
 def run_mode(refresh, machines, periods):
     """One collector ingesting *periods* steady-state re-advertisements
-    of *machines* ads — as Refreshes (fast path) or full Advertisements
-    (``REPRO_NO_REFRESH=1`` wire behaviour).  Returns the measured
+    of *machines* ads — as Refreshes, or as full Advertisements (the
+    ingest path every content change still takes).  Returns the measured
     figures; only the send-and-deliver loop is timed (sender-side ad
     construction happens outside the clock)."""
     sim = Simulator()

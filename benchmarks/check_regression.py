@@ -28,9 +28,10 @@ BASELINES_DIR = os.path.join(os.path.dirname(__file__), "baselines")
 GATED = {
     "E6_scalability": ("batch_cycle_speedup", "compile_cycle_speedup"),
     "EVAL_compile": ("warm_speedup",),
-    # PR 8: the refresh fast path must keep beating full re-advertising
-    # on steady-state collector ingest (baseline seeded at 2.5 so the
-    # default 20% tolerance floor equals the 2x acceptance bar).
+    # A period of Refreshes must keep beating a period of full ads (the
+    # collector's ingest of a content change) on steady-state collector
+    # ingest (baseline seeded at 2.5 so the default 20% tolerance floor
+    # equals the 2x acceptance bar).
     "ADV_advertising": ("advertising_ingest_speedup",),
 }
 

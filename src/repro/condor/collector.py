@@ -153,13 +153,19 @@ class Collector:
                 # index; the next negotiator cycle rebuilds it lazily.
                 self._mindex = None
         if _events.enabled:
-            _events.emit(
-                "ad.arrived",
-                t=self.sim.now,
-                name=message.name,
-                admitted=admitted,
-                lifetime=message.lifetime,
-            )
+            self._arrived(message, admitted)
+
+    def _arrived(self, message, admitted: bool) -> None:
+        """Log an Advertisement or Refresh as received: ``admitted`` is
+        False when it was dropped as stale or answered with a resend
+        request.  Callers check ``_events.enabled`` first."""
+        _events.emit(
+            "ad.arrived",
+            t=self.sim.now,
+            name=message.name,
+            admitted=admitted,
+            lifetime=message.lifetime,
+        )
 
     def _on_refresh(self, message: Refresh) -> None:
         """A compact re-advertisement claiming the stored ad is current.
@@ -178,18 +184,17 @@ class Collector:
             # stale (same observable outcome as the full-ad path, where
             # the reordered Advertisement dies on the tombstone).
             if _events.enabled:
-                _events.emit(
-                    "ad.arrived",
-                    t=self.sim.now,
-                    name=message.name,
-                    admitted=False,
-                    lifetime=message.lifetime,
-                )
+                self._arrived(message, False)
             return
         rec = self.store.record(message.name)
+        # Checked before the sequence: a late Refresh older than a
+        # content-changing full ad draws a needless resend instead of
+        # being dropped as stale (pinned in test_central_manager.py).
         if rec is None or rec.fingerprint != message.fingerprint:
             _COL_REFRESH_MISSES.inc()
             _COL_RESEND_REQUESTS.inc()
+            if _events.enabled:
+                self._arrived(message, False)
             self.net.send(
                 ResendRequest(
                     sender=self.address,
@@ -226,13 +231,7 @@ class Collector:
                     ):
                         self._mindex = None
         if _events.enabled:
-            _events.emit(
-                "ad.arrived",
-                t=self.sim.now,
-                name=message.name,
-                admitted=bool(renewed),
-                lifetime=message.lifetime,
-            )
+            self._arrived(message, bool(renewed))
 
     def _expire(self) -> None:
         expired = self.store.expire(self.sim.now)

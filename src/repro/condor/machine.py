@@ -47,7 +47,6 @@ from ..protocols import (
     Ticket,
     TicketAuthority,
     embed_ticket,
-    refresh_enabled,
     retries_enabled,
     stable_equal,
     verify_claim,
@@ -428,8 +427,7 @@ class MachineAgent:
         ad = self.build_ad()
         message = None
         if (
-            refresh_enabled()
-            and self._last_fp is not None
+            self._last_fp is not None
             # Never refresh at the instant the referenced full ad was
             # sent: latency jitter could deliver the Refresh first and
             # force a needless resync round trip.
@@ -449,13 +447,9 @@ class MachineAgent:
                     volatile=volatile,
                 )
         if message is None:
-            if refresh_enabled():
-                self._last_ad, self._last_key = ad, self._key
-                self._last_fp = fingerprint(ad, exclude=VOLATILE_MACHINE_ATTRS)
-                self._last_full_at = self.sim.now
-            else:
-                self._last_ad = None
-                self._last_fp = None
+            self._last_ad, self._last_key = ad, self._key
+            self._last_fp = fingerprint(ad, exclude=VOLATILE_MACHINE_ATTRS)
+            self._last_full_at = self.sim.now
             ADV_FULL_ADS.inc()
             message = Advertisement(
                 sender=self.address,

@@ -39,7 +39,6 @@ from ..protocols import (
     ResendRequest,
     Retransmitter,
     Withdrawal,
-    refresh_enabled,
     retries_enabled,
 )
 from ..protocols.advertising import ADV_FULL_ADS, ADV_REFRESHES
@@ -324,7 +323,7 @@ class CustomerAgent:
         now = self.sim.now
         key = job.stable_key(self.address)
         slot = (job.job_id, collector)
-        cached = self._ad_cache.get(slot) if refresh_enabled() else None
+        cached = self._ad_cache.get(slot)
         # Same-instant guard: never refresh at the moment the referenced
         # full ad was sent — latency jitter could deliver the Refresh
         # first and force a needless resync round trip.
@@ -348,12 +347,8 @@ class CustomerAgent:
             )
         else:
             ad = job.to_classad(self.address, now)
-            if refresh_enabled():
-                fp = fingerprint(ad, exclude=VOLATILE_JOB_ATTRS)
-                self._ad_cache[slot] = (key, fp, now)
-            else:
-                self._ad_cache.pop(slot, None)
-                fp = None
+            fp = fingerprint(ad, exclude=VOLATILE_JOB_ATTRS)
+            self._ad_cache[slot] = (key, fp, now)
             ADV_FULL_ADS.inc()
             message = Advertisement(
                 sender=self.address,

@@ -30,8 +30,9 @@ kind                 emitted by / meaning
                      undefined attributes) for constraint failures
 ``job.unmatched``    matchmaker — a request found no provider this cycle
 ``preemption``       matchmaker — a match that evicts a running customer
-``ad.arrived``       collector — an advertisement arrived (admitted or
-                     dropped as stale)
+``ad.arrived``       collector — an advertisement or refresh arrived
+                     (admitted, dropped as stale, or answered with a
+                     resend request)
 ``claim.verdict``    claiming protocol — the RA's accept/reject decision
 ``sim.started``      sim engine — a simulator was constructed (its clock
                      becomes the log's timestamp source)

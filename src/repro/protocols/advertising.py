@@ -16,18 +16,18 @@ This module provides:
   and expire unless refreshed, which is precisely why a crashed
   matchmaker recovers by doing nothing (experiment E1) and why stale ads
   are bounded by the advertising period (experiment E2);
-* the **refresh fast path** conventions (PR 8): which attributes are
-  *volatile* (clock-derived, changing every period by construction, so
-  they ride the compact :class:`~repro.protocols.messages.Refresh`
-  instead of defeating the fingerprint), the sender-side change
-  detector (:func:`stable_equal` / :func:`volatile_values`), and the
-  ``REPRO_NO_REFRESH=1`` / :func:`set_refresh` kill-switch that forces
-  every advertisement back onto the always-full-ad path.
+* the **refresh** conventions: which attributes are *volatile*
+  (clock-derived, changing every period by construction, so they ride
+  the compact :class:`~repro.protocols.messages.Refresh` instead of
+  defeating the fingerprint) and the sender-side change detector
+  (:func:`stable_equal` / :func:`volatile_values`).  An ad goes out in
+  full, with its stable-content fingerprint, when it is new or changed,
+  and as a ``Refresh`` naming that fingerprint in any other period.
 
 Expiry is served by a lazily-invalidated heap: every admit/renew pushes
 ``(expires_at, name)`` and :meth:`AdStore.expire` pops entries that are
 due, discarding entries whose record has since been replaced, renewed,
-or removed — O(k log n) per sweep instead of the old O(n) scan.
+or removed — O(k log n) per sweep.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from .._env import env_flag
 from ..classads import ClassAd
 from ..classads.ast import Literal
 from ..classads.fingerprint import payload_equal
@@ -75,24 +74,6 @@ VOLATILE_MACHINE_ATTRS: FrozenSet[str] = frozenset(
 )
 #: Volatile attributes of a job request ad (the advertisement stamp).
 VOLATILE_JOB_ATTRS: FrozenSet[str] = frozenset({"advertisedat"})
-
-
-# -- the refresh fast-path kill-switch (house convention) ----------------
-
-
-_refresh_enabled = not env_flag("REPRO_NO_REFRESH")
-
-
-def refresh_enabled() -> bool:
-    """Whether the fingerprinted refresh fast path is active (see
-    ``REPRO_NO_REFRESH``)."""
-    return _refresh_enabled
-
-
-def set_refresh(enabled: Optional[bool]) -> None:
-    """Override the kill-switch; ``None`` re-reads the environment."""
-    global _refresh_enabled
-    _refresh_enabled = (not env_flag("REPRO_NO_REFRESH")) if enabled is None else bool(enabled)
 
 
 # -- sender-side change detection ----------------------------------------
@@ -175,7 +156,7 @@ class StoredAd:
     """An admitted advertisement plus its soft-state bookkeeping.
 
     ``fingerprint`` is the sender-computed stable-content hash carried
-    by the full advertisement (``None`` when the fast path is off); a
+    by the full advertisement (``None`` for an ad sent without one); a
     later Refresh is honoured only when it presents the same hash.
     """
 
@@ -202,8 +183,8 @@ class AdStore:
     * a withdrawal may carry the sender's sequence counter, which is
       kept as a *tombstone*: late-arriving copies sent before the
       withdrawal (sequence <= tombstone) are dropped as stale instead of
-      resurrecting the withdrawn ad — this keeps the refresh fast path
-      and the full-ad path byte-identical under reordering;
+      resurrecting the withdrawn ad, whether they are full ads or
+      refreshes;
     * ads past their lifetime are reaped by :meth:`expire`, which pops a
       lazily-invalidated expiry heap instead of scanning the store.
     """

@@ -75,7 +75,7 @@ class Advertisement(Message):
 
     ``fingerprint`` is the sender's content hash over the ad's stable
     (non-volatile) attributes — see :mod:`repro.classads.fingerprint`
-    and :class:`Refresh`.  ``None`` when the refresh fast path is off.
+    and :class:`Refresh`.  ``None`` means no Refresh can renew the ad.
     """
 
     name: str

@@ -205,6 +205,53 @@ class TestRefreshCopies:
         assert self.ad.evaluate("LoadAvg") == 0.25
         assert not self.nacks
 
+    def content_change(self, t, sequence):
+        """A full ad with new stable content (fingerprint B) at *sequence*;
+        returns the stored record's (sequence, fingerprint, lease end,
+        volatile values, ad) after delivery."""
+        ad = machine_ad("m0", memory=128)
+        ad["LoadAvg"] = 0.5
+        ad["KeyboardIdle"] = 20.0
+        fp = fingerprint(ad, exclude=VOLATILE_MACHINE_ATTRS)
+        assert fp != self.fp
+        self.deliver(
+            t,
+            Advertisement(
+                sender="startd@m0",
+                recipient="collector@cm",
+                name="machine.m0",
+                ad=ad,
+                lifetime=900.0,
+                sequence=sequence,
+                fingerprint=fp,
+            ),
+        )
+        return self.stored()
+
+    def stored(self):
+        rec = self.collector.store.record("machine.m0")
+        volatile = (rec.ad.evaluate("LoadAvg"), rec.ad.evaluate("KeyboardIdle"))
+        return rec.sequence, rec.fingerprint, rec.expires_at, volatile, rec.ad
+
+    def test_older_refresh_after_a_content_change_leaves_the_record_alone(self):
+        stored = self.content_change(300.0, 3)
+        # A late blind copy of the Refresh sent before the change:
+        # sequence 2 and the old fingerprint A.
+        self.deliver(302.0, self.refresh(2, 0.99, 999.0))
+        after = self.stored()
+        assert after == stored and after[-1] is stored[-1]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the collector compares the fingerprint before the sequence, "
+        "so an older Refresh naming a replaced fingerprint draws a resend; "
+        "checking the sequence first is ROADMAP item 1(c)",
+    )
+    def test_older_refresh_after_a_content_change_draws_no_resend(self):
+        self.content_change(300.0, 3)
+        self.deliver(302.0, self.refresh(2, 0.99, 999.0))
+        assert not self.nacks
+
     def test_copy_after_a_crash_is_still_nacked(self):
         message = self.refresh(2, 0.25, 310.0)
         self.deliver(300.0, message)

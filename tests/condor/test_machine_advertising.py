@@ -13,7 +13,6 @@ may change afterwards: the collector stores the very object.
 
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +28,6 @@ from repro.protocols import (
     Refresh,
     ResendRequest,
     embed_ticket,
-    set_refresh,
 )
 from repro.sim import Network, RngStream, Simulator
 
@@ -37,15 +35,6 @@ from tests.condor.test_schedd_advertising import fixed_pool
 
 COLLECTOR, SCHEDD = "collector@cm", "schedd@alice"
 PERIOD = 60.0
-
-
-@pytest.fixture(autouse=True)
-def refresh_on():
-    """These tests are about the fast path; the ``REPRO_NO_REFRESH=1``
-    CI leg must not turn them into tests of something else."""
-    set_refresh(True)
-    yield
-    set_refresh(None)
 
 
 def reference_ad(agent):
@@ -253,13 +242,6 @@ class TestSameWireAsTheFromScratchBuild:
         for ad, payload, fp in ads:
             assert dumps(ad) == payload
             assert stable_fp(ad) == fp
-
-    def test_kill_switch_sends_the_same_full_ads(self):
-        set_refresh(False)
-        ours, theirs = run_script(reference=False), run_script(reference=True)
-        assert ours.wire() == theirs.wire()
-        assert {entry[0] for entry in ours.wire()} == {"Advertisement"}
-        assert ours.agent._last_ad is None
 
 
 class TestReuse:

@@ -65,25 +65,12 @@ class TestAdvertising:
         sim.run_until(200.0)
         from repro.protocols import Advertisement, Refresh
 
-        # With the refresh fast path on, the first ad is full and the
-        # unchanged periodic re-ads ride the compact Refresh.
+        # The first ad is full and the unchanged periodic re-ads ride
+        # the compact Refresh.
         ads = [m for m in inbox if isinstance(m, (Advertisement, Refresh))]
         assert len(ads) >= 3
         assert isinstance(ads[0], Advertisement)
         assert all(m.name == "machine.m0" for m in ads)
-
-    def test_periodic_ads_all_full_with_refresh_disabled(self):
-        from repro.protocols import Advertisement, set_refresh
-
-        set_refresh(False)
-        try:
-            sim, net, agent, inbox = make_agent(advertise_interval=60.0)
-            sim.run_until(200.0)
-            ads = [m for m in inbox if isinstance(m, Advertisement)]
-            assert len(ads) >= 3
-            assert all(m.fingerprint is None for m in ads)
-        finally:
-            set_refresh(None)
 
     def test_ad_contents(self):
         sim, net, agent, inbox = make_agent()

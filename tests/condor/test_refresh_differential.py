@@ -1,33 +1,44 @@
-"""Differential tests for the fingerprinted refresh fast path (PR 8).
+"""Whole-pool tests of the refresh protocol.
 
-The refresh protocol is a pure transport optimisation: with it on or off
-(``REPRO_NO_REFRESH=1`` / :func:`set_refresh`), a clean same-seed run
-must produce bitwise-identical event streams, job outcomes, and final
-collector state.  Under chaos the two modes consume different RNG draws
-(a ``ResendRequest`` is an extra message), so there we assert the
-outcome-level contract instead: every profile still delivers all jobs
-and passes the protocol invariants.
+Every ad goes out in full when it is new or changed and as a compact
+``Refresh`` otherwise; the collector answers a Refresh it cannot vouch
+for with a ``ResendRequest``.  Covered here:
 
-Also covered here: the E1 crash-recovery story — after a central-manager
-outage the first ``Refresh`` misses, the collector answers with a
-``ResendRequest``, and one full advertising period later the pool
-composition is fully restored.
+* a clean same-seed run is bitwise reproducible, and every chaos profile
+  still delivers all jobs and passes the protocol invariants;
+* the E1 crash-recovery story — after a central-manager outage the first
+  ``Refresh`` misses, the collector answers with a ``ResendRequest``,
+  and one full advertising period later the pool composition is fully
+  restored;
+* the two ways a Refresh draws a resync on a running pool: a late blind
+  copy that is older than the job's content-changing full ad (lossless;
+  a known needless round trip), and a lost content change (lossy; the
+  resync the protocol exists for);
+* every Advertisement or Refresh the collector receives is logged as
+  one ``ad.arrived`` event.
 """
 
 import pytest
 
 from repro import obs
-from repro.condor import CondorPool, Job, MachineSpec, PoolConfig
+from repro.condor import (
+    Collector,
+    CondorPool,
+    Job,
+    JobProfile,
+    MachineSpec,
+    PoissonOwner,
+    PoolConfig,
+    generate_jobs,
+    generate_policy_pool,
+    poisson_arrival_times,
+)
 from repro.condor.collector import _job_order_key
+from repro.condor.machine import MachineAgent
 from repro.matchmaking.matchmaker import reset_cycle_ids
 from repro.obs.invariants import check_events
-from repro.protocols import (
-    Refresh,
-    ResendRequest,
-    refresh_enabled,
-    reset_message_ids,
-    set_refresh,
-)
+from repro.protocols import Advertisement, Refresh, ResendRequest, reset_message_ids
+from repro.sim import Network, RngStream, Simulator
 from repro.sim.chaos import PROFILES, chaos_profile
 
 
@@ -83,12 +94,11 @@ def _spy_network(pool, captured):
     pool.net.send = send
 
 
-def run_clean(refresh, seed=7):
+def run_clean(seed=7):
     """One recorded clean run; returns (events, outcomes, snapshot, sent)."""
     obs.reset()
     reset_message_ids()
     reset_cycle_ids()
-    set_refresh(refresh)
     obs.enable(events=True)
     try:
         pool = _build_pool(seed=seed)
@@ -96,10 +106,8 @@ def run_clean(refresh, seed=7):
         _spy_network(pool, sent)
         pool.submit_all(_batch(), arrival_times=[5.0 * j for j in range(10)])
         pool.run_until_quiescent(check_interval=60.0, max_time=100_000.0)
-        # Two cycle.end fields are not protocol outcomes and legitimately
-        # vary: duration_s is wall-clock, and evals_saved counts compiled-
-        # cache hits — the fast path keeps per-ad caches warm (that is the
-        # point), so it reports *more* savings than the full-ad path.
+        # Two cycle.end fields are not protocol outcomes: duration_s is
+        # wall-clock, and evals_saved counts compiled-cache hits.
         drop = {"duration_s", "evals_saved"}
         events = [
             (
@@ -112,63 +120,21 @@ def run_clean(refresh, seed=7):
         outcomes = sorted(_job_outcome(j) for j in pool.jobs())
         snapshot = pool.collector.snapshot()
     finally:
-        set_refresh(None)
         obs.disable()
         obs.reset()
     return events, outcomes, snapshot, sent
 
 
 class TestCleanRunEquivalence:
-    def test_refresh_on_equals_refresh_off_bitwise(self):
-        ev_on, out_on, snap_on, sent_on = run_clean(True)
-        ev_off, out_off, snap_off, sent_off = run_clean(False)
-
-        # The comparison is only meaningful if the fast path actually ran.
-        assert any(isinstance(m, Refresh) for m in sent_on)
-        assert not any(isinstance(m, Refresh) for m in sent_off)
-        assert not any(isinstance(m, ResendRequest) for m in sent_on)
-
-        assert ev_on == ev_off
-        assert out_on == out_off
-        assert snap_on == snap_off
-
     def test_same_mode_same_seed_is_deterministic(self):
-        ev_a, out_a, snap_a, _ = run_clean(True)
-        ev_b, out_b, snap_b, _ = run_clean(True)
+        ev_a, out_a, snap_a, sent = run_clean()
+        ev_b, out_b, snap_b, _ = run_clean()
+        # The comparison is only meaningful if refreshes actually ran.
+        assert any(isinstance(m, Refresh) for m in sent)
+        assert not any(isinstance(m, ResendRequest) for m in sent)
         assert ev_a == ev_b
         assert out_a == out_b
         assert snap_a == snap_b
-
-    def test_refresh_mode_sends_fewer_advertising_bytes(self):
-        _, _, _, sent_on = run_clean(True)
-        _, _, _, sent_off = run_clean(False)
-        bytes_on = sum(m.wire_size() for m in sent_on)
-        bytes_off = sum(m.wire_size() for m in sent_off)
-        assert bytes_on < bytes_off
-
-
-class TestKillSwitch:
-    def test_env_variable_disables_the_fast_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_REFRESH", "1")
-        set_refresh(None)  # re-read the environment
-        try:
-            assert not refresh_enabled()
-            pool = _build_pool(machines=2)
-            sent = []
-            _spy_network(pool, sent)
-            pool.run_until(400.0)
-            assert not any(isinstance(m, Refresh) for m in sent)
-        finally:
-            monkeypatch.delenv("REPRO_NO_REFRESH", raising=False)
-            set_refresh(None)
-
-    def test_explicit_override_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_REFRESH", "1")
-        set_refresh(True)
-        try:
-            assert refresh_enabled()
-        finally:
-            set_refresh(None)
 
 
 class TestCrashResync:
@@ -176,47 +142,41 @@ class TestCrashResync:
         """After a CM outage, a stale Refresh is answered by ResendRequest
         and the sender's full re-advertisement rebuilds the store within
         one advertising period of recovery (the E1 claim, kept)."""
-        set_refresh(True)
-        try:
-            pool = _build_pool(machines=4)
-            sent = []
-            _spy_network(pool, sent)
-            pool.submit_all(_batch(jobs=4), arrival_times=[5.0, 10.0, 15.0, 20.0])
-            pool.crash_central_manager(at=400.0, duration=50.0)
-            pool.run_until(399.0)
-            # Steady state before the crash: refreshes flowing, store full.
-            assert any(isinstance(m, Refresh) for m in sent)
-            assert len(pool.collector.machine_ads()) == 4
+        pool = _build_pool(machines=4)
+        sent = []
+        _spy_network(pool, sent)
+        pool.submit_all(_batch(jobs=4), arrival_times=[5.0, 10.0, 15.0, 20.0])
+        pool.crash_central_manager(at=400.0, duration=50.0)
+        pool.run_until(399.0)
+        # Steady state before the crash: refreshes flowing, store full.
+        assert any(isinstance(m, Refresh) for m in sent)
+        assert len(pool.collector.machine_ads()) == 4
 
-            # One advertising period (+ delivery slack) after recovery at
-            # t=450 every machine must be re-registered.
-            pool.run_until(450.0 + 60.0 + 5.0)
-            resyncs = [m for m in sent if isinstance(m, ResendRequest)]
-            assert resyncs, "collector never asked for a resend"
-            assert len(pool.collector.machine_ads()) == 4
+        # One advertising period (+ delivery slack) after recovery at
+        # t=450 every machine must be re-registered.
+        pool.run_until(450.0 + 60.0 + 5.0)
+        resyncs = [m for m in sent if isinstance(m, ResendRequest)]
+        assert resyncs, "collector never asked for a resend"
+        assert len(pool.collector.machine_ads()) == 4
 
-            # And the pool still drains normally afterwards.
-            pool.run_until_quiescent(check_interval=60.0, max_time=100_000.0)
-            assert all(job.done for job in pool.jobs())
-        finally:
-            set_refresh(None)
+        # And the pool still drains normally afterwards.
+        pool.run_until_quiescent(check_interval=60.0, max_time=100_000.0)
+        assert all(job.done for job in pool.jobs())
 
 
-class TestChaosBothModes:
-    """Outcome-level equivalence: every chaos profile completes and keeps
-    the invariants with the fast path on *and* off (bitwise equality is
-    out of reach under chaos — the resync handshake consumes extra RNG
-    draws — so the contract is the recorded-invariant one)."""
+class TestChaosProfiles:
+    """Every chaos profile completes and keeps the recorded protocol
+    invariants (bitwise comparisons are out of reach under chaos: each
+    resync handshake is an extra message that takes its own loss and
+    jitter draws)."""
 
     @pytest.mark.parametrize("profile", PROFILES)
-    @pytest.mark.parametrize("refresh", [True, False])
-    def test_profile_completes_and_invariants_hold(self, profile, refresh):
+    def test_profile_completes_and_invariants_hold(self, profile):
         horizon = 3600.0
         plan = chaos_profile(profile, horizon=horizon)
         obs.reset()
         reset_message_ids()
         reset_cycle_ids()
-        set_refresh(refresh)
         obs.enable(events=True)
         try:
             pool = _build_pool(
@@ -229,7 +189,6 @@ class TestChaosBothModes:
             pool.run_until_quiescent(check_interval=60.0, max_time=8.0 * horizon)
             events = list(obs.event_log.events())
         finally:
-            set_refresh(None)
             obs.disable()
             obs.reset()
         assert all(job.done for job in pool.jobs())
@@ -243,13 +202,9 @@ class TestIncrementalViewsMatchNaive:
     scratch recomputation over the store."""
 
     def _run_partial(self, until=700.0):
-        set_refresh(True)
-        try:
-            pool = _build_pool(machines=5)
-            pool.submit_all(_batch(jobs=8), arrival_times=[5.0 * j for j in range(8)])
-            pool.run_until(until)
-        finally:
-            set_refresh(None)
+        pool = _build_pool(machines=5)
+        pool.submit_all(_batch(jobs=8), arrival_times=[5.0 * j for j in range(8)])
+        pool.run_until(until)
         return pool
 
     @staticmethod
@@ -300,3 +255,157 @@ class TestIncrementalViewsMatchNaive:
         assert pool.collector._n_machines == 0
         assert pool.collector._n_jobs == 0
         assert self._naive_composition(pool.collector) == (0, {}, 0)
+
+
+# -- where a Refresh draws a resync on a running pool ------------------------
+
+
+def _churn_pool(seed=7, machines=40, jobs_per_owner=12, steps=40, loss=0.0):
+    """A small Figure-1 policy pool whose owners come and go, so ads
+    change; jobs arrive as a Poisson stream after a 30-minute warm-up."""
+    mix = RngStream(1998)
+    specs = generate_policy_pool(
+        mix.fork("pool"),
+        machines,
+        groups=(("u0", "u1"), ("u2", "u3")),
+        friends=("u4", "u5"),
+        untrusted=("u7",),
+    )
+    owners = {s.name: PoissonOwner(mean_active=600.0, mean_idle=1800.0) for s in specs}
+    pool = CondorPool(
+        specs, PoolConfig(seed=seed, chaos=False, network_loss=loss), owner_models=owners
+    )
+    profile = JobProfile(mean_work=JobProfile().mean_work * steps / 120)
+    jobs = [
+        job
+        for i in range(8)
+        for job in generate_jobs(mix.fork(f"jobs/u{i}"), f"u{i}", jobs_per_owner, profile)
+    ]
+    rate = len(jobs) / (0.5 * steps * 300.0)
+    times = poisson_arrival_times(RngStream(seed).fork("arrivals"), len(jobs), rate, start=1800.0)
+    pool.submit_all(jobs, times)
+    return pool, 1800.0 + steps * 300.0
+
+
+class TestStaleRefreshRace:
+    """Lossless, the only Refreshes answered with a ResendRequest are late
+    blind copies older than the stored full ad.  A job's Refresh goes out
+    at a negotiation instant; the job is matched, evicted when the
+    machine's owner returns, and re-advertised in full with a new
+    fingerprint and a newer sequence; then the Refresh's blind copy fires
+    — the job is idle again, so its ``stop_when`` does not stop it.  The collector compares
+    fingerprints before sequences, so it asks for a resend instead of
+    dropping the copy as stale (see ``test_central_manager.py``)."""
+
+    def test_every_lossless_resend_answers_an_older_refresh(self):
+        pool, until = _churn_pool()
+        collector = pool.collector
+        sent = []
+        _spy_network(pool, sent)
+        misses = []
+        on_refresh = collector._on_refresh
+
+        def spy(message):
+            rec = collector.store.record(message.name)
+            stored = None if rec is None else (rec.sequence, rec.fingerprint)
+            before = len(sent)
+            on_refresh(message)
+            if any(isinstance(m, ResendRequest) for m in sent[before:]):
+                misses.append((message, stored))
+
+        collector._on_refresh = spy
+        pool.start()
+        pool.run_until(until)
+
+        resends = [m for m in sent if isinstance(m, ResendRequest)]
+        assert resends, "the race did not occur: the test pool proves nothing"
+        assert len(misses) == len(resends)
+        for message, stored in misses:
+            assert message.name.startswith("job.")
+            assert stored is not None, f"{message.name}: no stored record"
+            sequence, fp = stored
+            assert message.sequence < sequence
+            assert message.fingerprint != fp
+
+
+class TestLostContentChange:
+    """Lossy, a Refresh can name a fingerprint the collector never saw:
+    the full ad carrying a content change and its blind copy were both
+    lost.  The next Refresh draws exactly one ResendRequest, and the
+    store holds the new content within one period.  This extra message
+    takes its own loss and jitter draws, which is why lossy runs are
+    compared by invariants, never bitwise."""
+
+    def test_next_refresh_resyncs_a_lost_content_change(self):
+        sim = Simulator()
+        net = Network(sim, rng=RngStream(1), latency=0.01)
+        collector = Collector(sim, net)
+        agent = MachineAgent(
+            sim,
+            net,
+            MachineSpec(name="m0"),
+            collector_address=collector.address,
+            rng=RngStream(2),
+            advertise_interval=60.0,
+        )
+        sent, lost, dropping = [], [], set()
+        send = net.send
+
+        def lossy_send(message):
+            sent.append(message)
+            if isinstance(message, Advertisement) and message.sequence in dropping:
+                lost.append(message)
+                return
+            send(message)
+
+        net.send = lossy_send
+        agent.start()
+        sim.run_until(121.0)  # a full ad, then Refreshes
+        old_fp = collector.store.record("machine.m0").fingerprint
+        assert isinstance(sent[-1], Refresh)
+
+        agent.spec.memory = 128  # stable content changes at the t=180 period
+        dropping.add(agent._sequence + 1)
+        sim.run_until(181.0)
+        new_fp = agent._last_fp
+        assert new_fp != old_fp
+        sim.run_until(239.0)
+        assert len(lost) == 2 and lost[0] is lost[1]  # the ad and its blind copy
+        assert collector.store.record("machine.m0").fingerprint == old_fp
+
+        sim.run_until(180.0 + 60.0 + 1.0)  # the next period's Refresh
+        assert [type(m) for m in sent if isinstance(m, ResendRequest)] == [ResendRequest]
+        rec = collector.store.record("machine.m0")
+        assert rec.fingerprint == new_fp
+        assert rec.ad.evaluate("Memory") == 128
+
+
+class TestAdArrivedCoverage:
+    def test_every_ad_and_refresh_received_is_one_ad_arrived_event(self):
+        """Admitted, dropped as stale, or answered with a ResendRequest:
+        each Advertisement or Refresh the collector receives is logged."""
+        obs.reset()
+        obs.enable(events=True)
+        try:
+            pool, until = _churn_pool(machines=12, jobs_per_owner=3, steps=12, loss=0.1)
+            collector = pool.collector
+            sent, received = [], []
+            _spy_network(pool, sent)
+            for handler in ("_on_advertisement", "_on_refresh"):
+                inner = getattr(collector, handler)
+
+                def counted(message, inner=inner):
+                    received.append(message)
+                    inner(message)
+
+                setattr(collector, handler, counted)
+            pool.start()
+            pool.run_until(until)
+            assert len(obs.event_log) < obs.event_log.capacity  # nothing evicted
+            arrived = obs.event_log.of_kind("ad.arrived")
+        finally:
+            obs.disable()
+            obs.reset()
+        assert any(isinstance(m, ResendRequest) for m in sent)
+        assert collector.ads_rejected == 0
+        assert len(arrived) == len(received)

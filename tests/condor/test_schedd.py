@@ -66,26 +66,18 @@ class TestQueueAndAdvertising:
         assert ads[0].ad.evaluate("Owner") == "alice"
 
     def test_periodic_refresh_of_idle_jobs(self):
-        from repro.protocols import Refresh, set_refresh
+        from repro.protocols import Refresh
 
-        set_refresh(True)
-        try:
-            sim, net, ca, collector_inbox, _ = make_schedd()
-            ca.submit(Job(owner="alice", total_work=100))
-            sim.run_until(130.0)
-            # The first ad is full; unchanged periodic re-ads are compact
-            # Refreshes carrying the same advertising name.
-            ads = [
-                m
-                for m in collector_inbox
-                if isinstance(m, (Advertisement, Refresh))
-            ]
-            assert len(ads) >= 3  # immediate + 2 periodic
-            assert isinstance(ads[0], Advertisement)
-            assert any(isinstance(m, Refresh) for m in ads)
-            assert len({m.name for m in ads}) == 1
-        finally:
-            set_refresh(None)
+        sim, net, ca, collector_inbox, _ = make_schedd()
+        ca.submit(Job(owner="alice", total_work=100))
+        sim.run_until(130.0)
+        # The first ad is full; unchanged periodic re-ads are compact
+        # Refreshes carrying the same advertising name.
+        ads = [m for m in collector_inbox if isinstance(m, (Advertisement, Refresh))]
+        assert len(ads) >= 3  # immediate + 2 periodic
+        assert isinstance(ads[0], Advertisement)
+        assert any(isinstance(m, Refresh) for m in ads)
+        assert len({m.name for m in ads}) == 1
 
     def test_metrics_count_submissions(self):
         sim, net, ca, _, _ = make_schedd()

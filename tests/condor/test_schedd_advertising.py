@@ -6,7 +6,7 @@ the non-volatile attributes from — plus its fingerprint and send time,
 and compares keys each period instead of rebuilding and comparing ads.
 That is sound only if equal keys mean equal stable fingerprints, and it
 must leave the protocol's corners where they were: first ad, change,
-NACK, flocking, withdrawal, the same-instant guard, the kill-switch.
+NACK, flocking, withdrawal, the same-instant guard.
 """
 
 import pytest
@@ -27,7 +27,6 @@ from repro.protocols import (
     Refresh,
     ResendRequest,
     Withdrawal,
-    set_refresh,
     volatile_values,
 )
 from repro.sim import Network, PoolMetrics, RngStream, Simulator, Trace
@@ -35,15 +34,6 @@ from repro.sim import Network, PoolMetrics, RngStream, Simulator, Trace
 from tests.condor.test_schedd import notify
 
 LOCAL, REMOTE = "collector@cm", "collector@far"
-
-
-@pytest.fixture(autouse=True)
-def refresh_on():
-    """These tests are about the fast path; the ``REPRO_NO_REFRESH=1``
-    CI leg must not turn them into tests of something else."""
-    set_refresh(True)
-    yield
-    set_refresh(None)
 
 
 def make_schedd(flock=(), flock_threshold=600.0):
@@ -328,16 +318,6 @@ class TestProtocolCorners:
         assert kinds(inboxes[LOCAL]) == ["Advertisement", "Advertisement"]
         sim.run_until(61.0)
         assert kinds(inboxes[LOCAL])[2:] == ["Refresh"]
-
-    def test_kill_switch_sends_only_full_ads(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_REFRESH", "1")
-        set_refresh(None)  # re-read the environment
-        sim, net, ca, inboxes = make_schedd()
-        ca.submit(Job(owner="alice", total_work=100.0))
-        sim.run_until(190.0)
-        assert kinds(inboxes[LOCAL]) == ["Advertisement"] * 4
-        assert all(m.fingerprint is None for m in ads_in(inboxes[LOCAL]))
-        assert not ca._ad_cache
 
 
 # -- no spurious full ads on a whole pool ------------------------------------
