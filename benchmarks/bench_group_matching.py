@@ -1,28 +1,32 @@
-"""E7 — group matching via classad aggregation (Section 5 future work).
+"""E7 — group matching (Section 5 future work) in the production cycle.
 
-Regenerates the regularity sweep: matching throughput of per-ad vs.
-grouped matching as the number of distinct machine *classes* in a
-2,000-ad pool varies (high regularity = few classes = big groups).
+Section 5 proposes "automatically aggregating classads so that matches
+may be performed in groups".  The negotiation cycle does exactly that:
+requests with equal self keys are one class, and every Constraint or Rank
+evaluation is made once per distinct (evaluator's self key, other ad's
+view) — see ``repro.matchmaking.groups``.  This benchmark regenerates the
+regularity sweep against the cycle's own per-pair oracle
+(``negotiation_cycle(batch=False)``): 20 queries against 2,000-ad pools
+built from 4, 16, 64 and 256 distinct machine *classes* (high regularity
+= few classes).
 
-Shape to reproduce: group matching's cost tracks the number of groups,
-so its advantage over per-ad matching is roughly the compression factor
-(ads per group), while results stay identical.
+Shape to reproduce: identical assignments at every regularity, and
+evaluations made bounded by the distinct views the requests' Constraints
+can tell apart — not by pool size — while the oracle pays per pair.
 """
 
 import time
+from collections import Counter
 
 from repro.classads import ClassAd
-from repro.matchmaking import (
-    AdAggregation,
-    GroupMatchStats,
-    constraints_satisfied,
-    group_match,
-)
+from repro.matchmaking import CycleStats, match, matchmaker, negotiation_cycle
 from repro.sim import RngStream
 
 from _report import rows_to_dicts, table, write_bench_json, write_report
 
 POOL_SIZE = 2_000
+N_QUERIES = 20
+CLASS_COUNTS = (4, 16, 64, 256)
 
 
 def build_pool(n_classes, rng):
@@ -53,9 +57,10 @@ def build_pool(n_classes, rng):
     return ads
 
 
-def customer(rng):
+def customer(rng, job_id):
     ad = ClassAd(
-        {"Type": "Job", "Owner": "alice", "Memory": rng.choice([16, 31, 64])}
+        {"Type": "Job", "JobId": job_id, "Owner": "alice",
+         "Memory": rng.choice([16, 31, 64])}
     )
     ad.set_expr(
         "Constraint",
@@ -65,41 +70,91 @@ def customer(rng):
     return ad
 
 
-def test_regularity_sweep(benchmark):
-    class_counts = [4, 16, 64, 256]
-    n_queries = 20
+def regularity_case(n_classes):
+    """The pool and the queue for one point of the sweep."""
+    rng = RngStream(n_classes, "group")
+    pool = build_pool(n_classes, rng.fork("pool"))
+    queries = [customer(rng.fork(f"q{i}"), i) for i in range(N_QUERIES)]
+    return pool, {"alice": queries}
 
+
+def assignment_key(assignments):
+    return [
+        (a.request.evaluate("JobId"), a.provider.evaluate("Name"),
+         a.customer_rank, a.provider_rank, a.preempts)
+        for a in assignments
+    ]
+
+
+def counted_cycle(pool, requests, batch):
+    """One cycle with every Constraint/Rank evaluation counted: the scorer
+    calls ``constraint_holds``/``evaluate_rank`` through the matchmaker's
+    globals, the oracle's ``constraints_satisfied`` reaches
+    ``constraint_holds`` through ``match``'s."""
+    made = Counter()
+    patched = [(matchmaker, "constraint_holds"), (matchmaker, "evaluate_rank"),
+               (match, "constraint_holds")]
+    originals = [getattr(module, name) for module, name in patched]
+
+    def counting(original):
+        def call(*args):
+            made["evaluations"] += 1
+            return original(*args)
+        return call
+
+    for (module, name), original in zip(patched, originals):
+        setattr(module, name, counting(original))
+    try:
+        stats = CycleStats()
+        assignments = negotiation_cycle(requests, pool, stats=stats, batch=batch)
+    finally:
+        for (module, name), original in zip(patched, originals):
+            setattr(module, name, original)
+    return assignments, stats, made["evaluations"]
+
+
+def timed_cycle(pool, requests, batch, rounds=3):
+    """Best-of-*rounds* wall time of one cycle, nothing wrapped."""
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        negotiation_cycle(requests, pool, batch=batch)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def provider_views(pool):
+    """What the queries' Constraints can tell apart of a machine."""
+    return len({(ad.evaluate("Type"), ad.evaluate("Memory"), ad.evaluate("Arch"))
+                for ad in pool})
+
+
+def test_regularity_sweep(benchmark):
     def sweep():
         rows = []
-        for n_classes in class_counts:
-            rng = RngStream(n_classes, "group")
-            pool = build_pool(n_classes, rng.fork("pool"))
-            queries = [customer(rng.fork(f"q{i}")) for i in range(n_queries)]
-
-            start = time.perf_counter()
-            naive = [
-                [ad for ad in pool if constraints_satisfied(q, ad)] for q in queries
-            ]
-            naive_time = time.perf_counter() - start
-
-            start = time.perf_counter()
-            aggregation = AdAggregation(pool)
-            stats = GroupMatchStats()
-            grouped = [group_match(q, aggregation, stats=stats) for q in queries]
-            grouped_time = time.perf_counter() - start
-
-            for a, b in zip(naive, grouped):
-                assert {ad.evaluate("Name") for ad in a} == {
-                    ad.evaluate("Name") for ad in b
-                }
+        for n_classes in CLASS_COUNTS:
+            pool, requests = regularity_case(n_classes)
+            oracle, _, oracle_made = counted_cycle(pool, requests, batch=False)
+            batched, stats, made = counted_cycle(pool, requests, batch=True)
+            assert assignment_key(batched) == assignment_key(oracle), n_classes
+            # One class build evaluates each representative's Constraint
+            # once per distinct view and its (absent) Rank once; the
+            # providers share one Constraint and one Rank self key.
+            views = provider_views(pool)
+            assert made <= stats.request_classes * (views + 1) + 2, (n_classes, made)
+            oracle_time = timed_cycle(pool, requests, batch=False)
+            batched_time = timed_cycle(pool, requests, batch=True)
             rows.append(
                 (
                     n_classes,
-                    f"{aggregation.compression:.0f}",
-                    f"{1000 * naive_time:.0f}ms",
-                    f"{1000 * grouped_time:.0f}ms",
-                    f"{naive_time / grouped_time:.1f}x",
-                    stats.constraint_evaluations,
+                    len(oracle),
+                    stats.request_classes,
+                    views,
+                    oracle_made,
+                    made,
+                    f"{1000 * oracle_time:.0f}ms",
+                    f"{1000 * batched_time:.0f}ms",
+                    f"{oracle_time / batched_time:.1f}x",
                 )
             )
         return rows
@@ -109,40 +164,22 @@ def test_regularity_sweep(benchmark):
     wall = time.perf_counter() - start
     headers = [
         "machine classes",
-        "ads/group",
-        "per-ad matching",
-        "group matching",
+        "matched",
+        "request classes",
+        "provider views",
+        "oracle evals",
+        "batched evals",
+        "oracle cycle",
+        "batched cycle",
         "speedup",
-        "constraint evals",
     ]
     write_report("E7_group_matching", table(headers, rows))
     write_bench_json(
         "E7_group_matching",
         wall_time_s=wall,
-        throughput={"best_speedup": float(rows[0][4].rstrip("x"))},
+        throughput={"speedup_at_4_classes": float(rows[0][8].rstrip("x"))},
         data=rows_to_dicts(headers, rows),
-        extra={"pool_size": POOL_SIZE, "queries": n_queries},
+        extra={"pool_size": POOL_SIZE, "queries": N_QUERIES},
     )
-
-    # Shape: higher regularity (fewer classes) → bigger speedup; the
-    # most regular pool must show a clear win.
-    speedups = [float(r[4].rstrip("x")) for r in rows]
-    assert speedups[0] > 5.0
-    assert speedups[0] > speedups[-1]
-
-
-def test_aggregation_build_cost(benchmark):
-    rng = RngStream(5, "agg")
-    pool = build_pool(16, rng.fork("pool"))
-    aggregation = benchmark.pedantic(AdAggregation, args=(pool,), rounds=3, iterations=1)
-    assert len(aggregation.groups) == 16
-
-
-def test_single_group_match(benchmark):
-    rng = RngStream(6, "agg")
-    pool = build_pool(16, rng.fork("pool"))
-    aggregation = AdAggregation(pool)
-    query = customer(rng.fork("q"))
-    found = benchmark(group_match, query, aggregation)
-    naive = [ad for ad in pool if constraints_satisfied(query, ad)]
-    assert len(found) == len(naive)
+    # Evaluations follow distinct views, never the 2,000 providers.
+    assert all(row[5] < row[4] // 10 for row in rows)

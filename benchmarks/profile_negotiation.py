@@ -29,9 +29,9 @@ the per-ad memos, as every cycle after a pool's first finds them):
   signatures, fair-share order, the serving loop.
 * **Distinct self keys per root** among the providers and among the
   requests: how many evaluators the scorer actually has on each side
-  (``_self_keys``), beside how many Constraint evaluators there would be
-  if every literal were keyed by its value rather than by the outcomes
-  of the comparisons that read it.  Evaluations are bounded by distinct
+  (``groups._self_keys``), beside how many Constraint evaluators there
+  would be if every literal were keyed by its value rather than by the
+  outcomes of the comparisons that read it.  Evaluations are bounded by distinct
   (self key, view), so these lines say how far the calls above can fall.
 * **cProfile top-18** by cumulative time, on a separate cycle (the
   profiler's per-call cost would distort the stage timers).
@@ -82,7 +82,7 @@ from bench_scalability import build_pool, build_requests, run_cycle  # noqa: E40
 from repro.classads import ClassAd  # noqa: E402
 from repro.condor.jobs import DEFAULT_JOB_CONSTRAINT, DEFAULT_JOB_RANK, parsed_policy  # noqa: E402
 from repro.condor.workload import DEFAULT_PLATFORMS, generate_policy_pool  # noqa: E402
-from repro.matchmaking import matchmaker  # noqa: E402
+from repro.matchmaking import groups, matchmaker  # noqa: E402
 from repro.sim import RngStream  # noqa: E402
 
 STAGES = ("_scan", "_score", "_commit")
@@ -195,11 +195,11 @@ def distinct_self_keys(ads):
     its value instead of its atoms' outcomes."""
     constraints, by_value, ranks = set(), set(), set()
     for ad in ads:
-        constraint, rank, _, shape = matchmaker._self_keys(ad, matchmaker.DEFAULT_POLICY)
+        constraint, rank, _, shape = groups._self_keys(ad, matchmaker.DEFAULT_POLICY)
         constraints.add(constraint)
         ranks.add(rank)
         names = tuple(name for name, _ in shape.constraint.literals)
-        by_value.add((constraint[0], matchmaker._view_key(ad, names)))
+        by_value.add((constraint[0], groups._view_key(ad, names)))
     return len(constraints), len(by_value), len(ranks)
 
 

@@ -77,6 +77,7 @@ from .evaluator import (
 from .values import (
     UNDEFINED,
     ErrorValue,
+    literal_key,
     values_identical,
 )
 
@@ -277,18 +278,13 @@ def _compiled_for(ad: ClassAd, name: str, expr: Expr) -> Optional[_Compiled]:
 
 def _type_sig(expr: Expr) -> tuple:
     """Everything structural equality ignores but compiled code preserves:
-    literal value types (int/float/bool/...), the sign of a float zero
-    (``0.0 == -0.0`` while ``string()`` shows it) and record field
-    spellings."""
+    each literal's :func:`~repro.classads.values.literal_key` (its value
+    type and the sign of a float zero) and record field spellings."""
     sig = []
     for node in walk(expr):
         t = type(node)
         if t is Literal:
-            value = node.value
-            if type(value) is float and value == 0.0:
-                sig.append(repr(value))
-            else:
-                sig.append(type(value).__name__)
+            sig.append(literal_key(node.value))
         elif t is RecordExpr:
             sig.extend(name for name, _ in node.fields)
     return tuple(sig)
@@ -312,7 +308,7 @@ def structural_key(expr: Expr) -> tuple:
     Two expressions with equal keys are *behaviourally identical* — they
     evaluate to identical values in every environment — which is exactly
     what AST equality alone cannot promise (``Literal(3) == Literal(3.0)``
-    while ``is``/``isInteger`` distinguish them).  The matchmaker's
+    while ``is``/``isInteger`` distinguish them).  Group matching's
     self keys are built on this, so the guarantee is load-bearing beyond
     the compile cache.
     """
@@ -339,8 +335,9 @@ def constant_value(expr: Expr, ad: Optional[ClassAd] = None):
     a bare name *ad* lacks (it falls through to the other ad), any
     reference at all when there is no *ad*, or a call to a builtin that is
     not pure makes *expr* no constant.  Without an ad this is the
-    matchmaker's "reference-free, folds through pure builtins" test for
-    the constant side of a predicate; with the customer ad, the index's.
+    "reference-free, folds through pure builtins" test for the constant
+    side of a self key's atom; with the customer ad, for the constant
+    side of an index predicate (both in ``repro.matchmaking.groups``).
     """
     if type(expr) is Literal:
         return expr.value

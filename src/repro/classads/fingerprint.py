@@ -45,14 +45,14 @@ from __future__ import annotations
 import json
 from hashlib import blake2b
 from json.encoder import encode_basestring_ascii as _quote
-from math import copysign, isfinite
+from math import isfinite
 from typing import Dict, FrozenSet, Iterable, Sequence
 
 from .ast import Expr, ListExpr, Literal, RecordExpr
 from .classad import ClassAd
 from .serialize import _expr_to_json
 from .unparse import unparse
-from .values import ErrorValue
+from .values import ErrorValue, literal_key
 
 _NO_EXCLUDE: FrozenSet[str] = frozenset()
 
@@ -160,22 +160,18 @@ def literal_equal(va: object, vb: object) -> bool:
 
     The one definition of "unchanged" for a plain value, shared by
     :func:`payload_equal` and by senders that compare the values an ad
-    is built from instead of the ad (:func:`values_equal`).  Finer
-    than ``==`` exactly where the payload is: literal types count
-    (``3`` / ``3.0`` / ``true``), a float zero keeps its sign (``-0.0``
-    travels as ``-0.0`` and ``string()`` shows it), error reasons
-    count.  NaN never equals itself; treated as changed (conservative).
+    is built from instead of the ad (:func:`values_equal`).  Equal
+    literal keys (:func:`~repro.classads.values.literal_key`: literal
+    types count, ``3`` / ``3.0`` / ``true``, and a float zero keeps its
+    sign, as ``-0.0`` travels as ``-0.0``) plus two rules of the wire's
+    own: error reasons count, and NaN never equals anything (treated as
+    changed, which is conservative).
     """
-    kind = type(va)
-    if kind is not type(vb):
+    if va != va:
         return False
-    if kind is str or kind is int:  # most values; ``==`` is exact for them
-        return va == vb
-    if isinstance(va, float):
-        return va == vb and copysign(1.0, va) == copysign(1.0, vb)
-    if isinstance(va, ErrorValue):
-        return va.reason == vb.reason
-    return va == vb
+    if type(va) is ErrorValue:
+        return type(vb) is ErrorValue and va.reason == vb.reason
+    return literal_key(va) == literal_key(vb)
 
 
 def values_equal(a: Sequence[object], b: Sequence[object]) -> bool:

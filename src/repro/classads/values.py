@@ -209,6 +209,22 @@ def rank_value(v: Any) -> float:
     return float(n) if n is not None else 0.0
 
 
+def literal_key(value: Any) -> tuple:
+    """The one identity of a literal value: ``(type, value)``.
+
+    Two literals with equal keys are the same literal to every expression
+    that reads them.  The type is part of the key because ``1 == 1.0 ==
+    true`` in Python while ``is`` and ``isInteger`` tell them apart; the
+    sign of a float zero is (held by its ``repr``), because ``0.0 ==
+    -0.0`` while ``string()`` shows it.  Error values are one key
+    whatever their reason, as they are one ``error`` to the language.
+    """
+    kind = type(value)
+    if kind is float and value == 0.0:
+        return kind, repr(value)
+    return kind, value
+
+
 def values_identical(a: Any, b: Any) -> bool:
     """The ``is`` operator's meta-identity: same type *and* same value.
 

@@ -8,20 +8,14 @@ Fair matching (Section 4): :class:`Accountant`.
 
 Throughput optimization: :class:`ProviderIndex`.
 
-Section 5 future-work systems: :mod:`repro.matchmaking.gangmatch`
-(co-allocation), :mod:`repro.matchmaking.aggregate` (group matching),
+Section 5 future-work systems: group matching is how
+:func:`negotiation_cycle` scores (its key algebra — self keys, atoms,
+views, and the index's predicates — is :mod:`repro.matchmaking.groups`);
+:mod:`repro.matchmaking.gangmatch` (co-allocation);
 :mod:`repro.matchmaking.diagnose` (unsatisfiable-constraint analysis).
 """
 
 from .accounting import MINIMUM_PRIORITY, Accountant, SubmitterRecord
-from .aggregate import (
-    AdAggregation,
-    AdGroup,
-    GroupMatchStats,
-    group_best_match,
-    group_match,
-    group_signature,
-)
 from .diagnose import (
     ClauseReport,
     Diagnosis,
@@ -40,14 +34,12 @@ from .gangmatch import (
     gang_match,
     gang_match_all,
 )
+from .groups import Predicate, conjuncts, extract_predicates
 from .index import (
     DEFAULT_EQUALITY_ATTRS,
     DEFAULT_RANGE_ATTRS,
     MaintainedIndex,
-    Predicate,
     ProviderIndex,
-    conjuncts,
-    extract_predicates,
 )
 from .match import (
     DEFAULT_POLICY,
@@ -73,8 +65,6 @@ from .query import count_matching, one_way_match, select
 
 __all__ = [
     "Accountant",
-    "AdAggregation",
-    "AdGroup",
     "Assignment",
     "ClauseReport",
     "Diagnosis",
@@ -84,14 +74,10 @@ __all__ = [
     "GangMatch",
     "GangRequest",
     "GangStats",
-    "GroupMatchStats",
     "Port",
     "diagnose",
     "gang_match",
     "gang_match_all",
-    "group_best_match",
-    "group_match",
-    "group_signature",
     "is_unsatisfiable",
     "pool_attribute_census",
     "CycleStats",

@@ -37,7 +37,7 @@ from ..classads import ClassAd, Expr, is_true, unparse
 from ..classads.ast import AttributeRef, walk
 from ..classads.evaluator import evaluate
 from ..classads.values import is_error, is_number, is_string, is_undefined
-from .index import Predicate, conjuncts, extract_predicates
+from .groups import Predicate, conjuncts, predicate_of
 from .match import DEFAULT_POLICY, MatchPolicy, constraint_holds
 
 
@@ -271,24 +271,11 @@ def diagnose(
     clause_exprs = (
         conjuncts(request[constraint_name]) if constraint_name is not None else []
     )
-    predicates = (
-        extract_predicates(request[constraint_name], request)
-        if constraint_name is not None
-        else []
-    )
-    predicate_by_clause: Dict[int, Predicate] = {}
-    # extract_predicates walks the same conjunct list in order; rebuild the
-    # association clause-by-clause for suggestion lookup.
-    for clause in clause_exprs:
-        for predicate in extract_predicates(clause, request):
-            predicate_by_clause[id(clause)] = predicate
-            break
-
     for clause in clause_exprs:
         satisfied = sum(1 for ad in pool if _clause_satisfied(clause, request, ad))
         suggestion = None
         if satisfied == 0:
-            predicate = predicate_by_clause.get(id(clause))
+            predicate = predicate_of(clause, request)
             if predicate is not None:
                 suggestion = _value_census(predicate, pool)
         clauses.append(

@@ -5,7 +5,7 @@ Constraint pair: O(N·M) full expression evaluations per negotiation
 cycle.  The paper observes (Section 5) that real pools "exhibit a high
 degree of regularity"; this module exploits *value regularity* directly
 by pre-filtering providers on indexable predicates extracted from the
-customer's Constraint.
+customer's Constraint (:func:`~repro.matchmaking.groups.extract_predicates`).
 
 Extraction is conservative and the filter is **sound**: a provider is
 pruned only if some top-level conjunct of the customer's Constraint is
@@ -36,14 +36,13 @@ collector keep in sync with advertise/withdraw/expiry.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..classads import ClassAd, is_true
-from ..classads.ast import AttributeRef, BinaryOp, Expr
-from ..classads.compile import compile_expr, constant_value
+from ..classads.compile import compile_expr
 from ..classads.values import is_number, is_string
 from ..obs import metrics as _metrics
+from .groups import Predicate, extract_predicates
 from .match import DEFAULT_POLICY, MatchPolicy
 
 # Observability: a "hit" is a lookup whose constraint yielded at least
@@ -77,92 +76,6 @@ DEFAULT_EQUALITY_ATTRS = ("type", "arch", "opsys", "state")
 
 #: Attributes indexed for range predicates by default.
 DEFAULT_RANGE_ATTRS = ("memory", "disk", "mips", "kflops")
-
-
-@dataclass(frozen=True)
-class Predicate:
-    """One extracted conjunct: ``attr <op> value`` over the provider ad."""
-
-    attr: str  # canonical (lowercase) provider attribute
-    op: str  # one of == < <= > >=
-    value: object  # concrete string or number
-
-
-def conjuncts(expr: Expr) -> List[Expr]:
-    """Split *expr* into its top-level ``&&`` conjuncts."""
-    out: List[Expr] = []
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, BinaryOp) and node.op == "&&":
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            out.append(node)
-    return out
-
-
-_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "=="}
-
-
-def _provider_side_ref(node: Expr, customer: ClassAd) -> Optional[str]:
-    """If *node* references a provider attribute, return its canonical name.
-
-    A reference targets the provider when it is ``other.X``, or a bare
-    ``X`` that the customer ad does not itself define (bare names resolve
-    self-first, then fall through to the other ad).
-    """
-    if not isinstance(node, AttributeRef):
-        return None
-    if node.scope == "other":
-        return node.canonical
-    if node.scope is None and node.canonical not in customer:
-        return node.canonical
-    return None
-
-
-def _customer_constant(node: Expr, customer: ClassAd) -> Optional[object]:
-    """*node*'s value when it depends on the customer ad alone; None
-    unless that value is concrete.
-
-    This is what lets Figure 2's ``other.Memory >= self.Memory`` become
-    the predicate ``memory >= 31``.  A side that can reach the provider —
-    directly, through a compound expression
-    (``isUndefined(other.Disk) ? 64 : 16``) or through a customer
-    attribute bound to one — is no constant: evaluated without the
-    provider it would yield a value the real match never sees.
-    """
-    value = constant_value(node, customer)
-    if is_string(value) or is_number(value):
-        return value
-    return None
-
-
-def extract_predicates(
-    constraint: Expr, customer: ClassAd
-) -> List[Predicate]:
-    """Indexable predicates implied by the customer's Constraint.
-
-    Only comparisons at the top-level conjunction are considered; any
-    predicate inside ``||``/``?:`` could be satisfied another way and is
-    ignored (soundness).
-    """
-    predicates: List[Predicate] = []
-    for node in conjuncts(constraint):
-        if not isinstance(node, BinaryOp) or node.op not in _FLIP:
-            continue
-        attr = _provider_side_ref(node.left, customer)
-        if attr is not None:
-            value = _customer_constant(node.right, customer)
-            if value is not None:
-                predicates.append(Predicate(attr, node.op, value))
-            continue
-        attr = _provider_side_ref(node.right, customer)
-        if attr is not None:
-            value = _customer_constant(node.left, customer)
-            if value is not None:
-                predicates.append(Predicate(attr, _FLIP[node.op], value))
-    return predicates
 
 
 #: Sentinel above any provider id, for bisecting (value, pid) pairs.

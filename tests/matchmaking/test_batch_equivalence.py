@@ -24,6 +24,7 @@ from repro.matchmaking import (
     negotiation_cycle,
 )
 from repro.obs import event_log
+from repro.sim import RngStream
 
 
 def machine(
@@ -176,6 +177,56 @@ class TestBatchedEqualsNaive:
         naive, _ = run_cycle(providers, grouped, batch=False, use_index=False)
         batched, _ = run_cycle(providers, grouped, batch=True, use_index=False)
         assert assignment_key(naive) == assignment_key(batched)
+
+    def test_e7_regularity_pools(self, monkeypatch):
+        """E7's controlled-regularity pools (``bench_group_matching``):
+        2,000 machines drawn from 4 and from 256 configurations, 20 jobs.
+        Assignments equal the oracle's, and the evaluations the class
+        engine makes are bounded by the machine views the jobs'
+        Constraints can tell apart, not by the pool."""
+        for n_classes in (4, 256):
+            providers, grouped = e7_pool(n_classes)
+            for use_index in (False, True):
+                naive, _ = run_cycle(providers, grouped, batch=False, use_index=use_index)
+                made = count_evaluations(monkeypatch)
+                batched, stats = run_cycle(providers, grouped, batch=True, use_index=use_index)
+                monkeypatch.undo()
+                assert assignment_key(naive) == assignment_key(batched)
+                views = len({(p.evaluate("Memory"), p.evaluate("Arch")) for p in providers})
+                assert views <= 12
+                assert made["request", "Constraint"] <= stats.request_classes * views
+                assert made["request", "Rank"] <= stats.request_classes
+                assert made["provider", "Constraint"] + made["provider", "Rank"] <= 2
+
+
+def e7_pool(n_classes, size=2_000, jobs=20):
+    """E7's pool: *size* machines cycling through *n_classes* random
+    (Arch, OpSys, Memory, KFlops) configurations, and *jobs* requests of
+    one owner, each with its own ``JobId``."""
+    rng = RngStream(n_classes, "group")
+    draw = rng.fork("pool")
+    classes = [
+        {"Arch": draw.choice(["INTEL", "SPARC", "ALPHA"]),
+         "OpSys": draw.choice(["SOLARIS251", "LINUX"]),
+         "Memory": draw.choice([32, 64, 128, 256]),
+         "KFlops": draw.randint(5, 50) * 1_000}
+        for _ in range(n_classes)
+    ]
+    providers = []
+    for i in range(size):
+        ad = ClassAd({"Type": "Machine", "Name": f"m{i}", "ContactAddress": f"startd@m{i}",
+                      **classes[i % n_classes]})
+        ad.set_expr("Constraint", 'other.Type == "Job"')
+        providers.append(ad)
+    queue = []
+    for i in range(jobs):
+        q = rng.fork(f"q{i}")
+        ad = ClassAd({"Type": "Job", "JobId": i, "Owner": "alice",
+                      "Memory": q.choice([16, 31, 64])})
+        ad.set_expr("Constraint", 'other.Type == "Machine" && other.Memory >= self.Memory '
+                    f'&& other.Arch == "{q.choice(["INTEL", "SPARC"])}"')
+        queue.append(ad)
+    return providers, {"alice": queue}
 
 
 #: ``cycle.*`` fields that say *how* a cycle computed, not what it decided.
@@ -988,7 +1039,7 @@ class TestDerivedFactsFollowMutation:
         memoized shape (and the sharing it buys) valid, while the self
         key follows the new value."""
         from repro.matchmaking.match import DEFAULT_POLICY
-        from repro.matchmaking.matchmaker import _self_keys, _shape
+        from repro.matchmaking.groups import _self_keys, _shape
 
         provider = view_machine(
             "m0", {"LoadAvg": 0.1},
@@ -998,7 +1049,7 @@ class TestDerivedFactsFollowMutation:
         constraint_key, rank_key = _self_keys(provider, DEFAULT_POLICY)[:2]
         provider["LoadAvg"] = 0.7
         assert (first.constraint.literals, first.constraint.reads) == (
-            (("loadavg", (("<", 0.3, 0),)),), ("owner",)
+            (("loadavg", (("<", 0.3),)),), ("owner",)
         )
         assert _shape(provider, DEFAULT_POLICY) is first
         moved = _self_keys(provider, DEFAULT_POLICY)

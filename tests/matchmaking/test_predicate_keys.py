@@ -21,7 +21,7 @@ from repro.classads import ERROR, UNDEFINED, ClassAd, parse
 from repro.classads.builtins import BUILTINS, PURE, register_builtin
 from repro.classads.compile import NOT_CONSTANT, compile_expr, constant_value
 from repro.condor.workload import FIGURE1_POLICY_CONSTRAINT, FIGURE1_POLICY_RANK
-from repro.matchmaking import matchmaker as mm
+from repro.matchmaking import groups
 from repro.matchmaking.match import DEFAULT_POLICY
 
 from tests.matchmaking.test_batch_equivalence import (
@@ -77,23 +77,26 @@ def figure1_jobs(owners=OWNERS, per_owner=2):
 
 
 def constraint_literals(ad):
-    return dict(mm._shape(ad, DEFAULT_POLICY).constraint.literals)
+    return dict(groups._shape(ad, DEFAULT_POLICY).constraint.literals)
 
 
 class TestWhichLiteralsQualify:
     def test_figure1_volatile_literals_are_keyed_by_their_atoms(self):
         literals = constraint_literals(figure1_machine("m", 0.1, 3600, 36000))
         assert literals == {
-            "loadavg": (("<", 0.3, 0),),
-            "keyboardidle": ((">", 900, 0),),
-            "daytime": (("<", 28800, 0), (">", 64800, 0)),
+            "loadavg": (("<", 0.3),),
+            "keyboardidle": ((">", 900),),
+            "daytime": (("<", 28800), (">", 64800)),
         }
 
     def test_operand_order_and_scope_spelling(self):
+        """An atom states its operator with the attribute on the left, so
+        ``10 > self.Limit`` and ``Limit < 10`` are one atom."""
         ad = view_machine("m", {"Limit": 4},
-                          constraint="10 > self.Limit && Limit != 7 && LIMIT <= 2 + 2")
+                          constraint="10 > self.Limit && Limit != 7 && LIMIT <= 2 + 2"
+                                     " && Limit < 10")
         assert constraint_literals(ad) == {
-            "limit": ((">", 10, 1), ("!=", 7, 0), ("<=", 4, 0)),
+            "limit": (("<", 10), ("!=", 7), ("<=", 4)),
         }
 
     @pytest.mark.parametrize("constraint", [
@@ -123,13 +126,13 @@ class TestWhichLiteralsQualify:
     def test_constants_fold_through_pure_builtins(self):
         ad = view_machine("m", {"LoadAvg": 0.5},
                           constraint='LoadAvg < real("0.3") && LoadAvg > -(1)')
-        assert constraint_literals(ad)["loadavg"] == (("<", 0.3, 0), (">", -1, 0))
+        assert constraint_literals(ad)["loadavg"] == (("<", 0.3), (">", -1))
 
     def test_atoms_are_part_of_the_interned_fixed_part(self):
         a = view_machine("a", {"LoadAvg": 0.1}, constraint="LoadAvg < 0.3")
         b = view_machine("b", {"LoadAvg": 0.1}, constraint="LoadAvg < 0.4")
         c = view_machine("c", {"LoadAvg": 0.2}, constraint="LoadAvg < 0.3")
-        keys = [mm._self_keys(ad, DEFAULT_POLICY)[0] for ad in (a, b, c)]
+        keys = [groups._self_keys(ad, DEFAULT_POLICY)[0] for ad in (a, b, c)]
         assert keys[0] == keys[2]
         assert keys[0][0] != keys[1][0]
 
@@ -144,10 +147,14 @@ class TestOutcomes:
     ])
     @pytest.mark.parametrize("side", [0, 1])
     def test_outcomes_equal_evaluation(self, op, constant, source, side):
+        """The atom is read off the expression, so ``source op X`` also
+        checks that flipping the operator onto ``X`` keeps the outcome."""
         expr = f"X {op} {source}" if side == 0 else f"{source} {op} X"
+        name, atom = groups._atom(parse(expr))
+        assert name == "x"
         for value in BOUNDARY_VALUES + ["ABC", "abd"]:
             evaluated = ClassAd({"X": value}).eval_expr(expr)
-            (outcome,) = mm._outcomes(value, ((op, constant, side),))
+            (outcome,) = groups._outcomes(value, (atom,))
             if isinstance(evaluated, bool):
                 assert outcome is evaluated, (expr, value)
             else:  # every error is one outcome
@@ -216,7 +223,7 @@ class TestPredicateKeysEqualTheOracle:
         providers = build_pool(params)
         made = count_evaluations(monkeypatch)
         stats = assert_batched_equals_naive(providers, figure1_jobs(), use_index=False)
-        keys = {mm._self_keys(p, DEFAULT_POLICY)[0] for p in providers}
+        keys = {groups._self_keys(p, DEFAULT_POLICY)[0] for p in providers}
         assert len(keys) < len(providers) // 2
         assert stats.view_provider_evals_saved > len(providers)
         made.clear()
@@ -228,23 +235,23 @@ class TestPredicateKeysEqualTheOracle:
 class TestRefreshRekeysWithoutAWalk:
     def test_rebinding_a_volatile_literal_moves_the_key_not_the_shape(self, monkeypatch):
         provider = figure1_machine("m", 0.1, 3600, 36000)
-        shape = mm._shape(provider, DEFAULT_POLICY)
-        key = mm._self_keys(provider, DEFAULT_POLICY)[0]
+        shape = groups._shape(provider, DEFAULT_POLICY)
+        key = groups._self_keys(provider, DEFAULT_POLICY)[0]
         walks = []
-        original = mm._walk_shape
-        monkeypatch.setattr(mm, "_walk_shape", lambda *a: walks.append(a) or original(*a))
+        original = groups._walk_shape
+        monkeypatch.setattr(groups, "_walk_shape", lambda *a: walks.append(a) or original(*a))
         provider["LoadAvg"] = 0.2  # what a Refresh does, in place
         provider["KeyboardIdle"] = 7200
-        assert mm._self_keys(provider, DEFAULT_POLICY)[0] == key
+        assert groups._self_keys(provider, DEFAULT_POLICY)[0] == key
         provider["LoadAvg"] = 0.9
-        moved = mm._self_keys(provider, DEFAULT_POLICY)[0]
+        moved = groups._self_keys(provider, DEFAULT_POLICY)[0]
         assert moved != key and moved[0] == key[0]
         provider["LoadAvg"] = "busy"  # still a literal: still no walk
-        assert mm._self_keys(provider, DEFAULT_POLICY)[0] not in (key, moved)
-        assert mm._shape(provider, DEFAULT_POLICY) is shape
+        assert groups._self_keys(provider, DEFAULT_POLICY)[0] not in (key, moved)
+        assert groups._shape(provider, DEFAULT_POLICY) is shape
         assert walks == []
         provider.set_expr("LoadAvg", "other.Load")  # an expression: the shape changes
-        assert mm._shape(provider, DEFAULT_POLICY) is not shape
+        assert groups._shape(provider, DEFAULT_POLICY) is not shape
         assert len(walks) == 1
 
     def test_refreshed_pool_regroups_against_the_oracle(self):
@@ -356,7 +363,7 @@ class TestPurityGuard:
             for i, load in enumerate([0.1, 0.2, 0.4, 0.1, 0.2, 0.4])
         ]
         assert constraint_literals(providers[0]) == {"loadavg": None}
-        assert len({mm._self_keys(p, DEFAULT_POLICY)[0] for p in providers}) == 3
+        assert len({groups._self_keys(p, DEFAULT_POLICY)[0] for p in providers}) == 3
         grouped = figure1_jobs(owners=["u0", "u4"], per_owner=3)
         outcomes = []
         for value in (0.5, 0.15):
