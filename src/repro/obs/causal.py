@@ -11,9 +11,8 @@ Mechanics:
   parent_id)`` triple.  Trace ids are **derived, never random**: a
   job's whole lifecycle shares ``job.<owner>.<job-id>``, so a run at a
   fixed seed produces a bitwise-identical trace stream;
-* the process-wide :data:`causal_log` records spans into a bounded
-  ring and an optional ``repro-trace/1`` JSONL sink, with the same
-  off-by-default one-boolean fast path as the event log;
+* the process-wide :data:`causal_log` is a recorded stream
+  (:mod:`repro.obs.stream`) of spans, written as ``repro-trace/1``;
 * the simulated network injects a ``send`` span into every outbound
   message that doesn't already carry one (retransmitted or
   chaos-duplicated messages re-send the *same* frozen message object,
@@ -27,24 +26,19 @@ Mechanics:
   the machine parents its completion/eviction notices on the claim
   that started the job.
 
-Span ids come from a plain per-log counter (reset with the log), so
-they are deterministic too.  Activation state is a module-level stack:
+Span ids come from the stream's sequence counter (reset with the log),
+so they are deterministic too.  Activation state is a module-level stack:
 the simulator is single-threaded, so dynamic extent *is* causal extent.
 """
 
 from __future__ import annotations
 
-import json
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, TextIO
+from typing import Any, Dict, List, Optional
 
-import time as _time
+from .stream import FIELDS, INTEGER, NAME, NUMBER, RecordStream, StreamError, read_stream, validate
 
 TRACE_SCHEMA = "repro-trace/1"
-
-#: Keys every serialized span record carries (``parent`` may be null).
-SPAN_KEYS = ("span", "t", "trace", "name")
 
 
 @dataclass(frozen=True)
@@ -89,7 +83,7 @@ class SpanRecord:
         )
 
 
-class TraceError(Exception):
+class TraceError(StreamError):
     """A recorded span stream failed ``repro-trace/1`` validation."""
 
 
@@ -123,75 +117,22 @@ class _NullActivation:
 _NULL_ACTIVATION = _NullActivation()
 
 
-class CausalTracer:
-    """The process-wide causal span log (ring + optional file sink).
+class CausalTracer(RecordStream):
+    """The process-wide causal span log (ring + optional file sink), plus
+    the stack of active contexts; span ids count from ``_seq``."""
 
-    Mirrors :class:`repro.obs.events.EventLog` exactly: disabled by
-    default, every mutating call bails on ``self.enabled``, bounded
-    ring, streaming JSONL sink with a schema header line.
-    """
+    __slots__ = ("_stack",)
 
-    __slots__ = (
-        "enabled",
-        "capacity",
-        "_ring",
-        "_ids",
-        "_stack",
-        "_sink",
-        "_sink_path",
-        "clock",
-    )
+    SCHEMA = TRACE_SCHEMA
 
     def __init__(self, enabled: bool = False, capacity: Optional[int] = 65536):
-        self.enabled = enabled
-        self.capacity = capacity
-        self._ring: deque = deque(maxlen=capacity)
-        self._ids = 0
+        super().__init__(enabled, capacity)
         self._stack: List[TraceContext] = []
-        self._sink: Optional[TextIO] = None
-        self._sink_path: Optional[str] = None
-        self.clock: Callable[[], float] = _time.time
-
-    # -- switches ---------------------------------------------------------
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
 
     def reset(self) -> None:
-        """Drop recorded spans and restart span numbering; sinks stay open."""
-        self._ring.clear()
-        self._ids = 0
+        """Drop recorded spans, active contexts and span numbering."""
+        super().reset()
         self._stack.clear()
-        self.clock = _time.time
-
-    def set_clock(self, clock: Callable[[], float]) -> None:
-        self.clock = clock
-
-    # -- sinks ------------------------------------------------------------
-
-    def open_file(self, path: str) -> str:
-        """Stream every subsequent span to *path* as JSON lines."""
-        self.close_file()
-        self._sink = open(path, "w")
-        self._sink_path = path
-        json.dump({"schema": TRACE_SCHEMA}, self._sink)
-        self._sink.write("\n")
-        return path
-
-    def close_file(self) -> Optional[str]:
-        path = self._sink_path
-        if self._sink is not None:
-            self._sink.close()
-        self._sink = None
-        self._sink_path = None
-        return path
-
-    @property
-    def sink_path(self) -> Optional[str]:
-        return self._sink_path
 
     # -- context ----------------------------------------------------------
 
@@ -238,15 +179,11 @@ class CausalTracer:
             parent = self.current()
             if parent is None:
                 return None
-        self._ids += 1
-        ctx = TraceContext(parent.trace_id, self._ids, None if root else parent.span_id)
-        record = SpanRecord(
-            ctx.span_id, self.clock(), ctx.trace_id, name, ctx.parent_id, fields
+        self._seq += 1
+        ctx = TraceContext(parent.trace_id, self._seq, None if root else parent.span_id)
+        self._record(
+            SpanRecord(ctx.span_id, self.clock(), ctx.trace_id, name, ctx.parent_id, fields)
         )
-        self._ring.append(record)
-        if self._sink is not None:
-            json.dump(record.to_dict(), self._sink, default=str)
-            self._sink.write("\n")
         return ctx
 
     # -- queries (over the in-memory ring) --------------------------------
@@ -256,18 +193,6 @@ class CausalTracer:
 
     def of_trace(self, trace_id: str) -> List[SpanRecord]:
         return [s for s in self._ring if s.trace == trace_id]
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def __iter__(self) -> Iterator[SpanRecord]:
-        return iter(self._ring)
-
-    def render(self, limit: Optional[int] = None) -> str:
-        spans = self.spans()
-        if limit is not None:
-            spans = spans[-limit:]
-        return "\n".join(str(s) for s in spans)
 
 
 #: The process-wide causal tracer.  Stays disabled (and therefore free)
@@ -284,66 +209,33 @@ def job_trace_id(owner: str, job_id: Any) -> str:
 # serialization: repro-trace/1 JSONL
 
 
+#: The required keys of a serialized span and their types.
+SPAN_CHECKS = (
+    ("span", INTEGER),
+    ("t", NUMBER),
+    ("trace", NAME),
+    ("name", NAME),
+    ("parent", (lambda v: v is None or isinstance(v, int), "an integer or null", False)),
+    ("fields", FIELDS),
+)
+
+
 def validate_record(record: Dict[str, Any]) -> None:
     """Raise :class:`TraceError` unless *record* is a valid span row."""
-    if not isinstance(record, dict):
-        raise TraceError(f"span record must be an object, got {type(record).__name__}")
-    for key in SPAN_KEYS:
-        if key not in record:
-            raise TraceError(f"span record missing {key!r}: {record}")
-    if not isinstance(record["span"], int):
-        raise TraceError(f"span must be an integer: {record}")
-    if not isinstance(record["t"], (int, float)) or isinstance(record["t"], bool):
-        raise TraceError(f"t must be a number: {record}")
-    if not isinstance(record["trace"], str) or not record["trace"]:
-        raise TraceError(f"trace must be a non-empty string: {record}")
-    if not isinstance(record["name"], str) or not record["name"]:
-        raise TraceError(f"name must be a non-empty string: {record}")
-    parent = record.get("parent")
-    if parent is not None and not isinstance(parent, int):
-        raise TraceError(f"parent must be an integer or null: {record}")
-    if not isinstance(record.get("fields", {}), dict):
-        raise TraceError(f"fields must be an object: {record}")
+    validate(record, SPAN_CHECKS, TraceError)
 
 
 def read_jsonl(path: str) -> List[SpanRecord]:
     """Load and validate a ``repro-trace/1`` JSONL file."""
-    spans: List[SpanRecord] = []
-    with open(path) as handle:
-        first = handle.readline()
-        if not first.strip():
-            raise TraceError(f"{path}: empty trace stream")
-        try:
-            header = json.loads(first)
-        except json.JSONDecodeError as exc:
-            raise TraceError(f"{path}:1: not JSON: {exc}") from exc
-        if not isinstance(header, dict) or header.get("schema") != TRACE_SCHEMA:
-            raise TraceError(
-                f"{path}:1: expected {{'schema': '{TRACE_SCHEMA}'}} header, got {first.strip()!r}"
-            )
-        for number, line in enumerate(handle, 2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceError(f"{path}:{number}: not JSON: {exc}") from exc
-            try:
-                validate_record(record)
-            except TraceError as exc:
-                raise TraceError(f"{path}:{number}: {exc}") from exc
-            spans.append(
-                SpanRecord(
-                    record["span"],
-                    record["t"],
-                    record["trace"],
-                    record["name"],
-                    record.get("parent"),
-                    record.get("fields", {}),
-                )
-            )
-    return spans
+    return read_stream(
+        path,
+        TRACE_SCHEMA,
+        TraceError,
+        SPAN_CHECKS,
+        lambda r: SpanRecord(
+            r["span"], r["t"], r["trace"], r["name"], r.get("parent"), r.get("fields", {})
+        ),
+    )
 
 
 def check_dag(spans: List[SpanRecord]) -> Dict[str, List[SpanRecord]]:

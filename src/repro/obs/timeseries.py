@@ -8,22 +8,18 @@ by the collector — the daemon that already holds the pool's soft state
 obs pool`` renders the recorded series as a table (or follows a live
 file with ``--watch``), the ``condor_status``-history analogue.
 
-Mirrors :class:`repro.obs.events.EventLog`: off by default, one-boolean
-fast path, schema-headed JSONL, deterministic sequence numbers.
+The store is a recorded stream (:mod:`repro.obs.stream`) that flushes
+its file after every sample, so ``--watch`` sees each row as it lands.
 """
 
 from __future__ import annotations
 
-import json
-import time as _time
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, TextIO
+from typing import Any, Dict, List, Optional
+
+from .stream import FIELDS, INTEGER, NUMBER, RecordStream, StreamError, read_stream, validate
 
 SERIES_SCHEMA = "repro-series/1"
-
-#: Keys every serialized sample carries (pool gauges live under ``fields``).
-SAMPLE_KEYS = ("seq", "t")
 
 
 @dataclass(frozen=True)
@@ -42,89 +38,34 @@ class Sample:
         return f"[{self.t:12.3f}] #{self.seq:<6d} {details}".rstrip()
 
 
-class SeriesError(Exception):
+class SeriesError(StreamError):
     """A recorded series stream failed ``repro-series/1`` validation."""
 
 
-class SeriesStore:
+class SeriesStore(RecordStream):
     """The process-wide pool time-series store (ring + optional sink)."""
 
-    __slots__ = ("enabled", "capacity", "_ring", "_seq", "_sink", "_sink_path", "clock")
+    __slots__ = ()
+
+    SCHEMA = SERIES_SCHEMA
+    #: ``repro obs pool --watch`` follows the file while the run is live.
+    FLUSH = True
 
     def __init__(self, enabled: bool = False, capacity: Optional[int] = 16384):
-        self.enabled = enabled
-        self.capacity = capacity
-        self._ring: deque = deque(maxlen=capacity)
-        self._seq = 0
-        self._sink: Optional[TextIO] = None
-        self._sink_path: Optional[str] = None
-        self.clock: Callable[[], float] = _time.time
-
-    # -- switches ---------------------------------------------------------
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def reset(self) -> None:
-        self._ring.clear()
-        self._seq = 0
-        self.clock = _time.time
-
-    def set_clock(self, clock: Callable[[], float]) -> None:
-        self.clock = clock
-
-    # -- sinks ------------------------------------------------------------
-
-    def open_file(self, path: str) -> str:
-        self.close_file()
-        self._sink = open(path, "w")
-        self._sink_path = path
-        json.dump({"schema": SERIES_SCHEMA}, self._sink)
-        self._sink.write("\n")
-        return path
-
-    def close_file(self) -> Optional[str]:
-        path = self._sink_path
-        if self._sink is not None:
-            self._sink.close()
-        self._sink = None
-        self._sink_path = None
-        return path
-
-    @property
-    def sink_path(self) -> Optional[str]:
-        return self._sink_path
-
-    # -- recording --------------------------------------------------------
+        super().__init__(enabled, capacity)
 
     def sample(self, t: Optional[float] = None, **fields: Any) -> None:
         """Record one observation (no-op while disabled)."""
         if not self.enabled:
             return
         self._seq += 1
-        record = Sample(self._seq, self.clock() if t is None else t, fields)
-        self._ring.append(record)
-        if self._sink is not None:
-            json.dump(record.to_dict(), self._sink, default=str)
-            self._sink.write("\n")
-            self._sink.flush()
-
-    # -- queries ----------------------------------------------------------
+        self._record(Sample(self._seq, self.clock() if t is None else t, fields))
 
     def samples(self) -> List[Sample]:
         return list(self._ring)
 
     def last(self) -> Optional[Sample]:
         return self._ring[-1] if self._ring else None
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def __iter__(self) -> Iterator[Sample]:
-        return iter(self._ring)
 
 
 #: The process-wide pool time-series store.
@@ -134,51 +75,24 @@ series = SeriesStore(enabled=False)
 # ---------------------------------------------------------------------------
 # serialization: repro-series/1 JSONL
 
+#: The required keys of a serialized sample and their types (pool gauges
+#: live under ``fields``).
+SAMPLE_CHECKS = (("seq", INTEGER), ("t", NUMBER), ("fields", FIELDS))
+
+
+def sample_of(record: Dict[str, Any]) -> Sample:
+    """The :class:`Sample` a validated ``repro-series/1`` row describes."""
+    return Sample(record["seq"], record["t"], record.get("fields", {}))
+
 
 def validate_record(record: Dict[str, Any]) -> None:
     """Raise :class:`SeriesError` unless *record* is a valid sample row."""
-    if not isinstance(record, dict):
-        raise SeriesError(f"sample record must be an object, got {type(record).__name__}")
-    for key in SAMPLE_KEYS:
-        if key not in record:
-            raise SeriesError(f"sample record missing {key!r}: {record}")
-    if not isinstance(record["seq"], int):
-        raise SeriesError(f"seq must be an integer: {record}")
-    if not isinstance(record["t"], (int, float)) or isinstance(record["t"], bool):
-        raise SeriesError(f"t must be a number: {record}")
-    if not isinstance(record.get("fields", {}), dict):
-        raise SeriesError(f"fields must be an object: {record}")
+    validate(record, SAMPLE_CHECKS, SeriesError)
 
 
 def read_jsonl(path: str) -> List[Sample]:
     """Load and validate a ``repro-series/1`` JSONL file."""
-    samples: List[Sample] = []
-    with open(path) as handle:
-        first = handle.readline()
-        if not first.strip():
-            raise SeriesError(f"{path}: empty series stream")
-        try:
-            header = json.loads(first)
-        except json.JSONDecodeError as exc:
-            raise SeriesError(f"{path}:1: not JSON: {exc}") from exc
-        if not isinstance(header, dict) or header.get("schema") != SERIES_SCHEMA:
-            raise SeriesError(
-                f"{path}:1: expected {{'schema': '{SERIES_SCHEMA}'}} header, got {first.strip()!r}"
-            )
-        for number, line in enumerate(handle, 2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SeriesError(f"{path}:{number}: not JSON: {exc}") from exc
-            try:
-                validate_record(record)
-            except SeriesError as exc:
-                raise SeriesError(f"{path}:{number}: {exc}") from exc
-            samples.append(Sample(record["seq"], record["t"], record.get("fields", {})))
-    return samples
+    return read_stream(path, SERIES_SCHEMA, SeriesError, SAMPLE_CHECKS, sample_of)
 
 
 #: Column order for the ``repro obs pool`` table (missing fields show "-").

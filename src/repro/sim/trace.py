@@ -10,7 +10,7 @@ of the unified event model** in :mod:`repro.obs.events`:
 
 * :class:`TraceEvent` *is* an :class:`repro.obs.events.Event` (plus the
   legacy ``.time`` accessor), so trace records and forensic records are
-  the same shape;
+  the same shape, queried by the same kind lookups;
 * every :meth:`Trace.emit` is mirrored into the global
   :data:`repro.obs.event_log` — even when this particular trace is
   disabled — so an enabled event log sees the whole simulated protocol
@@ -26,9 +26,9 @@ query.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Iterator, List, Optional
 
-from ..obs.events import Event
+from ..obs.events import Event, KindQueries
 from ..obs import event_log as _global_log
 
 
@@ -46,8 +46,10 @@ class TraceEvent(Event):
         return f"[{self.time:10.3f}] {self.kind:<22} {details}"
 
 
-class Trace:
-    """Collects :class:`TraceEvent` records during a simulation run."""
+class Trace(KindQueries):
+    """Collects :class:`TraceEvent` records during a simulation run; the
+    kind queries (``of_kind``, ``count``, ``first``, ...) are the event
+    log's."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
@@ -60,32 +62,6 @@ class Trace:
         # the repo has one queryable event stream, not two.
         _global_log.emit(kind, t=time, **fields)
 
-    def of_kind(self, *kinds: str) -> List[TraceEvent]:
-        wanted = set(kinds)
-        return [e for e in self.events if e.kind in wanted]
-
-    def count(self, kind: str) -> int:
-        return sum(1 for e in self.events if e.kind == kind)
-
-    def kinds(self) -> List[str]:
-        """Distinct kinds in first-appearance order."""
-        seen: Dict[str, None] = {}
-        for e in self.events:
-            seen.setdefault(e.kind, None)
-        return list(seen)
-
-    def first(self, kind: str) -> Optional[TraceEvent]:
-        for e in self.events:
-            if e.kind == kind:
-                return e
-        return None
-
-    def last(self, kind: str) -> Optional[TraceEvent]:
-        for e in reversed(self.events):
-            if e.kind == kind:
-                return e
-        return None
-
     def between(self, start: float, end: float) -> List[TraceEvent]:
         return [e for e in self.events if start <= e.time <= end]
 
@@ -94,6 +70,9 @@ class Trace:
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
+
+    def __reversed__(self) -> Iterator[TraceEvent]:
+        return reversed(self.events)
 
     def render(self, limit: Optional[int] = None) -> str:
         """Human-readable transcript (the Figure 3 walk-through)."""

@@ -524,6 +524,37 @@ class TestLifecycleCommands:
         assert "0.50" not in out
         assert "1.00" in out
 
+    def test_pool_watch_rejects_a_non_series_file(self, capsys, events_file):
+        assert main(["obs", "pool", events_file, "--watch"]) == 2
+        assert "repro-series/1" in capsys.readouterr().err
+
+    def test_pool_watch_follows_until_interrupted(self, capsys, monkeypatch, series_file):
+        import time
+
+        from repro.obs.timeseries import render_header
+
+        def interrupt(seconds):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(time, "sleep", interrupt)
+        assert main(["obs", "pool", series_file, "--watch"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == render_header()
+        assert len(lines) == 3
+        assert "0.50" in lines[1] and "1.00" in lines[2]
+
+    def test_pool_watch_names_a_bad_row(self, capsys, monkeypatch, tmp_path):
+        import time
+
+        monkeypatch.setattr(time, "sleep", lambda seconds: pytest.fail("polled"))
+        path = self.write_jsonl(
+            tmp_path, "series.jsonl", "repro-series/1", [self.SERIES_RECORDS[0], {"seq": 2}]
+        )
+        assert main(["obs", "pool", path, "--watch"]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 2  # header + the good row
+        assert f"{path}:3: record missing 't'" in captured.err
+
     def test_report_section_filter(self, capsys, events_file):
         assert main(["obs", "report", events_file, "--section", "kinds"]) == 0
         out = capsys.readouterr().out
