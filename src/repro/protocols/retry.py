@@ -122,9 +122,11 @@ class Retransmitter:
             return
         if stop_when is not None and stop_when():
             return
-        _RETRIES_SENT.inc(kind=self.kind)
+        if _metrics.enabled:
+            _RETRIES_SENT.inc(kind=self.kind)
         self.net.send(message)
         if attempt + 1 >= pol.max_tries:
-            _RETRIES_EXHAUSTED.inc(kind=self.kind)
+            if _metrics.enabled:
+                _RETRIES_EXHAUSTED.inc(kind=self.kind)
             return
         self._arm((message, stop_when, pol, attempt + 1))

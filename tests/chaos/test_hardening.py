@@ -8,6 +8,7 @@ exercises them all together under the named fault profiles.
 
 import pytest
 
+from repro.classads import ClassAd
 from repro.condor import CondorPool, Job, MachineSpec, MachineState, PoolConfig
 from repro.condor.machine import MachineAgent
 from repro.condor.schedd import CustomerAgent
@@ -74,6 +75,36 @@ class TestRetransmitter:
         sim.schedule_at(1.5, lambda: done.append(True))
         sim.run_until(100.0)
         assert len(inbox) == 2  # original + the one retry before stop_when
+
+    @pytest.mark.usefixtures("retries_on")
+    def test_retries_counted_by_kind_only_while_metrics_are_on(self):
+        from repro.obs import metrics
+
+        policy = BackoffPolicy(base=1.0, factor=1.0, cap=1.0, jitter=0.0, max_tries=2)
+        request = ClaimRequest(
+            sender="a", recipient="b", customer_ad=ClassAd({"Owner": "a"}), ticket=None, match_id=1
+        )
+
+        def run(kinds):
+            sim, net, inbox, _ = self.make(policy)
+            for kind in kinds:
+                Retransmitter(sim, net, policy=policy, kind=kind).send(request)
+            sim.run_until(100.0)
+
+        sent, exhausted = metrics.get("retries.sent"), metrics.get("retries.exhausted")
+        metrics.reset()
+        metrics.enable()
+        try:
+            run(["claim-request", "claim-request", "advertisement"])
+            assert sent.value(kind="claim-request") == 4
+            assert sent.value(kind="advertisement") == 2
+            assert exhausted.value(kind="claim-request") == 2
+            assert exhausted.value(kind="advertisement") == 1
+        finally:
+            metrics.disable()
+            metrics.reset()
+        run(["claim-request"])
+        assert sent.total == 0 and exhausted.total == 0
 
     def test_kill_switch_sends_exactly_once(self):
         policy = BackoffPolicy(base=1.0, factor=1.0, cap=1.0, jitter=0.0, max_tries=5)
