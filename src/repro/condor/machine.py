@@ -422,6 +422,9 @@ class MachineAgent:
         return ad
 
     def advertise(self) -> None:
+        if self.crashed:
+            # A dead process sends nothing; restart() re-advertises.
+            return
         self._sequence += 1
         seq = self._sequence
         ad = self.build_ad()

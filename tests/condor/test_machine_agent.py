@@ -400,3 +400,47 @@ class TestVacateGrace:
         self.start_claim(agent, net, sim, want_checkpoint=False)
         sim.run_until(60.0)
         assert not self.evictions(inbox)[0].checkpointed
+
+
+class TestCrashedAgentIsSilent:
+    """A crashed resource agent is a dead process: its advertising timer
+    may still fire, but it must send nothing and trace nothing until
+    restart, and its first ad after restart must be a full one (crash
+    forgot the fingerprint a Refresh would reference)."""
+
+    def run_crash(self):
+        from repro.protocols import Advertisement, Refresh
+
+        sim, net, agent, inbox = make_agent(
+            owner_model=ScriptedOwner(first_arrival=1.0, active_for=10_000.0),
+            advertise_interval=60.0,
+        )
+        sent = []
+        send = net.send
+
+        def record(message):
+            if isinstance(message, (Advertisement, Refresh)):
+                sent.append((sim.now, message))
+            send(message)
+
+        net.send = record
+        sim.schedule_at(100.0, agent.crash)
+        sim.schedule_at(400.0, agent.restart)
+        sim.run_until(500.0)
+        assert agent.state is MachineState.OWNER
+        return agent, sent
+
+    def test_no_ads_or_advertise_events_while_crashed(self):
+        agent, sent = self.run_crash()
+        assert [t for t, _ in sent if 100.0 <= t < 400.0] == []
+        advertised = [e.time for e in agent.trace.of_kind("advertise-machine")]
+        assert [t for t in advertised if 100.0 <= t < 400.0] == []
+        assert advertised[0] < 100.0 and advertised[-1] >= 400.0
+
+    def test_first_message_after_an_owner_state_restart_is_a_full_ad(self):
+        from repro.protocols import Advertisement, Refresh
+
+        agent, sent = self.run_crash()
+        after = [m for t, m in sent if t >= 400.0]
+        assert isinstance(after[0], Advertisement)
+        assert any(isinstance(m, Refresh) for m in after[1:])  # refreshes resume
