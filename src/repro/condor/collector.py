@@ -12,8 +12,8 @@ advertisements does not rebuild — experiment E1's claim.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from collections import Counter, defaultdict
+from typing import Dict, List, Optional
 
 from ..classads import ClassAd
 from ..matchmaking import MaintainedIndex, select
@@ -79,23 +79,10 @@ class Collector:
         # negotiator request, then delta-updated by the advertising
         # traffic instead of being rebuilt from the store every cycle.
         self._mindex: Optional[MaintainedIndex] = None
-        # Causal context of each admitted ad (the recv span of the
-        # advertisement that produced it) — the negotiator parents its
-        # match notifications here, stitching the job's trace across
-        # the store.  Dropped with the ad (withdraw/expiry/crash).
-        self._ad_ctx: Dict[str, TraceContext] = {}
-        # Incremental pool composition (PR 8): kind/state of every stored
-        # ad, classified once at admit time, so sample_pool answers from
-        # counters instead of re-evaluating Type/State over the store.
-        self._kind: Dict[str, Tuple[str, str]] = {}
-        self._state_counts: Dict[str, int] = {}
-        self._n_machines = 0
-        self._n_jobs = 0
-        # Cached per-submitter job grouping: rebuilt only when a job ad
-        # is admitted, withdrawn, or expired; per-ad Owner/order keys are
-        # reused across rebuilds while the ad's fingerprint is unchanged.
+        # Cached per-submitter job grouping, current while the store's
+        # jobs_version is the one it was built at.
         self._grouped: Optional[Dict[str, List[ClassAd]]] = None
-        self._job_keys: Dict[str, tuple] = {}
+        self._grouped_at = -1
         net.register(self.address, self._on_message)
         sim.every(expire_interval, self._expire)
 
@@ -107,9 +94,7 @@ class Collector:
         elif isinstance(message, Refresh):
             self._on_refresh(message)
         elif isinstance(message, Withdrawal):
-            if self.store.remove(message.name, tombstone=message.sequence):
-                self._counts_drop(message.name)
-            self._ad_ctx.pop(message.name, None)
+            self.store.remove(message.name, tombstone=message.sequence)
             if self._mindex is not None:
                 self._mindex.withdraw(message.name)
 
@@ -126,7 +111,7 @@ class Collector:
                 problems="; ".join(result.problems),
             )
             return
-        had_prior = message.name in self.store
+        prior = self.store.record(message.name)
         admitted = self.store.insert(
             message.name,
             message.ad,
@@ -137,17 +122,17 @@ class Collector:
         )
         if admitted:
             self.ads_admitted += 1
-            if had_prior:
-                self._counts_drop(message.name)
-            self._counts_add(message.name, message.ad)
             if _causal.enabled:
-                ctx = _causal.current()
-                if ctx is not None:
-                    self._ad_ctx[message.name] = ctx
+                # The recv span of the latest advertisement that had one:
+                # the negotiator parents its match notifications here,
+                # stitching the job's trace across the store.
+                self.store.record(message.name).ctx = _causal.current() or (
+                    prior.ctx if prior is not None else None
+                )
             _COL_ADMITTED.inc()
             _COL_STORE_SIZE.set(len(self.store))
             if self._mindex is not None and not self._mindex.advertise(
-                message.name, message.ad, had_prior=had_prior
+                message.name, message.ad, had_prior=prior is not None
             ):
                 # Candidate order not preservable by deltas: drop the
                 # index; the next negotiator cycle rebuilds it lazily.
@@ -237,60 +222,11 @@ class Collector:
         expired = self.store.expire(self.sim.now)
         for name in expired:
             self.trace.emit(self.sim.now, "ad-expired", name=name)
-            self._counts_drop(name)
-            self._ad_ctx.pop(name, None)
             if self._mindex is not None:
                 self._mindex.withdraw(name)
         if expired and _metrics.enabled:
             _COL_EXPIRED.inc(len(expired))
             _COL_STORE_SIZE.set(len(self.store))
-
-    # -- incremental pool composition -------------------------------------
-
-    @staticmethod
-    def _classify(ad: ClassAd) -> Tuple[str, str]:
-        """(kind, state-key) of *ad*, matching the semantics of the
-        ``Type == "Machine"`` / ``Type == "Job"`` selections (classad
-        string equality is case-insensitive)."""
-        kind = ad.evaluate("Type")
-        kind = kind.lower() if isinstance(kind, str) else ""
-        if kind == "machine":
-            state = ad.evaluate("State")
-            return "machine", state.lower() if isinstance(state, str) else "unknown"
-        if kind == "job":
-            return "job", ""
-        return "", ""
-
-    def _counts_add(self, name: str, ad: ClassAd) -> None:
-        kind, state = self._classify(ad)
-        self._kind[name] = (kind, state)
-        if kind == "machine":
-            self._n_machines += 1
-            self._state_counts[state] = self._state_counts.get(state, 0) + 1
-        elif kind == "job":
-            self._n_jobs += 1
-            self._grouped = None
-
-    def _counts_drop(self, name: str) -> None:
-        kind, state = self._kind.pop(name, ("", ""))
-        if kind == "machine":
-            self._n_machines -= 1
-            self._state_counts[state] -= 1
-        elif kind == "job":
-            self._n_jobs -= 1
-            self._grouped = None
-            self._job_keys.pop(name, None)
-
-    def _recount(self) -> None:
-        """Rebuild the composition counts from the store (safety net for
-        out-of-band store mutation, e.g. tests poking ``store`` directly)."""
-        self._kind.clear()
-        self._state_counts.clear()
-        self._n_machines = 0
-        self._n_jobs = 0
-        self._grouped = None
-        for rec in self.store.records():
-            self._counts_add(rec.name, rec.ad)
 
     # -- queries ----------------------------------------------------------
 
@@ -318,36 +254,24 @@ class Collector:
     def job_ads_by_owner(self) -> Dict[str, List[ClassAd]]:
         """Idle request ads grouped per submitter, queue order preserved.
 
-        The grouped view is cached between calls and invalidated only
-        when a job ad is admitted, withdrawn, or expired — refresh hits
-        leave it untouched, so steady-state negotiation cycles reuse it
-        outright.  On rebuild, each ad's parsed ``Owner``/queue-order
-        key is reused while its stored fingerprint is unchanged.
+        The grouped view is cached between calls and rebuilt only when a
+        job ad is admitted, withdrawn, or expired — refresh hits leave it
+        untouched, so steady-state negotiation cycles reuse it outright.
+        Each record's parsed ``Owner``/queue-order key lives on the
+        record, so a rebuild reuses it for every ad not replaced since.
         """
-        if len(self._kind) != len(self.store):
-            self._recount()
-        if self._grouped is None:
+        if self._grouped_at != self.store.jobs_version:
             grouped: Dict[str, List[ClassAd]] = defaultdict(list)
-            kinds = self._kind
-            keys: Dict[str, tuple] = {}
             for rec in self.store.records():
-                if kinds.get(rec.name, ("", ""))[0] != "job":
+                if rec.kind != "job":
                     continue
-                cached = self._job_keys.get(rec.name)
-                if (
-                    cached is not None
-                    and cached[0] is not None
-                    and cached[0] == rec.fingerprint
-                ):
-                    _, owner, order_key = cached
-                else:
+                if rec.job_key is None:
                     raw = rec.ad.evaluate("Owner")
-                    owner = raw if isinstance(raw, str) else None
-                    order_key = _job_order_key(rec.ad)
-                keys[rec.name] = (rec.fingerprint, owner, order_key)
+                    rec.job_key = (raw if isinstance(raw, str) else None, _job_order_key(rec.ad))
+                owner, order_key = rec.job_key
                 if owner is not None:
                     grouped[owner].append((order_key, rec.ad))
-            self._job_keys = keys
+            self._grouped_at = self.store.jobs_version
             self._grouped = {
                 owner: [ad for _, ad in sorted(pairs, key=lambda p: p[0])]
                 for owner, pairs in grouped.items()
@@ -357,7 +281,8 @@ class Collector:
 
     def ad_context(self, name: str) -> Optional[TraceContext]:
         """Causal context of the admitted ad *name* (None if untraced)."""
-        return self._ad_ctx.get(name)
+        rec = self.store.record(name)
+        return rec.ctx if rec is not None else None
 
     def sample_pool(self, **cycle_fields) -> None:
         """One pool-health observation into the global time series
@@ -367,16 +292,16 @@ class Collector:
 
         if not _series.enabled:
             return
-        if len(self._kind) != len(self.store):
-            self._recount()
-        by_state = self._state_counts
+        records = self.store.records()
+        kinds = Counter(rec.kind for rec in records)
+        by_state = Counter(rec.state for rec in records if rec.kind == "machine")
         _series.sample(
             t=self.sim.now,
-            machines=self._n_machines,
-            owner=by_state.get("owner", 0),
-            unclaimed=by_state.get("unclaimed", 0),
-            claimed=by_state.get("claimed", 0),
-            jobs_idle=self._n_jobs,
+            machines=kinds["machine"],
+            owner=by_state["owner"],
+            unclaimed=by_state["unclaimed"],
+            claimed=by_state["claimed"],
+            jobs_idle=kinds["job"],
             store_size=len(self.store),
             **cycle_fields,
         )
@@ -398,13 +323,6 @@ class Collector:
         """Lose all soft state and stop receiving (experiment E1)."""
         self.net.set_down(self.address)
         self.store.clear()
-        self._ad_ctx.clear()
-        self._kind.clear()
-        self._state_counts.clear()
-        self._n_machines = 0
-        self._n_jobs = 0
-        self._grouped = None
-        self._job_keys.clear()
         if self._mindex is not None:
             self._mindex.clear()
         self.trace.emit(self.sim.now, "collector-crash")

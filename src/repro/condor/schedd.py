@@ -24,24 +24,21 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..classads import fingerprint, values_equal
+from ..classads import values_equal
 from ..obs import metrics as _metrics, tracer as _tracer
 from ..obs.causal import TraceContext, causal_log as _causal, job_trace_id
 from ..protocols import (
     VOLATILE_JOB_ATTRS,
-    Advertisement,
+    Advertiser,
     BackoffPolicy,
     ClaimRequest,
     ClaimResponse,
     MatchNotification,
-    Refresh,
     ReleaseNotice,
     ResendRequest,
     Retransmitter,
-    Withdrawal,
     retries_enabled,
 )
-from ..protocols.advertising import ADV_FULL_ADS, ADV_REFRESHES
 from ..sim import Network, PoolMetrics, Simulator, Trace
 from .jobs import Job
 from .messages import JobCompleted, JobEvicted, KeepAlive, LeaseAck, NoticeAck
@@ -142,14 +139,15 @@ class CustomerAgent:
         self._seen_matches: OrderedDict = OrderedDict()
         # per-job causal root contexts (timer-fired sends re-enter here)
         self._job_ctx: Dict[int, TraceContext] = {}
-        # collectors each job's ad has been sent to (for withdrawal)
-        self._advertised_to: Dict[int, set] = {}
-        # Refresh fast path: (stable key, fingerprint, send time) of the
-        # last full ad per (job id, collector) — flocked collectors are
-        # courted separately, so each needs its own full ad first.
-        self._ad_cache: Dict[tuple, tuple] = {}
-        self._sequence = 0
         retry_rng = rng.fork("retry") if rng is not None else None
+        # One slot per (job ad, collector), its basis the job's stable
+        # key: flocked collectors are courted separately, so each needs
+        # its own full ad first.  The claim retransmitter below draws its
+        # jitter from the same retry stream.
+        self._advertiser = Advertiser(
+            sim, net, self.address, advertise_interval, self.ad_lifetime,
+            VOLATILE_JOB_ATTRS, rng=retry_rng,
+        )
         #: Claim requests are retransmitted inside the claim-timeout
         #: window; the RA's replay cache makes the repeats idempotent.
         self._claim_retx = Retransmitter(
@@ -163,20 +161,6 @@ class CustomerAgent:
                 cap=max(claim_timeout / 2.0, 2.0),
                 jitter=0.2,
                 max_tries=2,
-            ),
-        )
-        #: Job-ad retransmit: one blind extra copy per advertisement.
-        self._ad_retx = Retransmitter(
-            sim,
-            net,
-            rng=retry_rng,
-            kind="advertisement",
-            policy=BackoffPolicy(
-                base=advertise_interval / 8.0,
-                factor=2.0,
-                cap=advertise_interval / 2.0,
-                jitter=0.25,
-                max_tries=1,
             ),
         )
 
@@ -319,56 +303,25 @@ class CustomerAgent:
 
     def _advertise_job(self, job: Job, collector: Optional[str] = None) -> None:
         collector = collector if collector is not None else self.collector_address
-        self._sequence += 1
+        adv = self._advertiser
         now = self.sim.now
         key = job.stable_key(self.address)
-        slot = (job.job_id, collector)
-        cached = self._ad_cache.get(slot)
-        # Same-instant guard: never refresh at the moment the referenced
-        # full ad was sent — latency jitter could deliver the Refresh
-        # first and force a needless resync round trip.
-        if (
-            cached is not None
-            and now > cached[2]
-            and values_equal(key, cached[0])
-        ):
+        slot = adv.slot(self._ad_name(job), collector)
+        basis = adv.refreshable(slot)
+        if basis is not None and values_equal(key, basis):
             # Unchanged key, unchanged stable content: the fingerprint
             # sent with the full ad still describes the job, and the
             # stamp is the only volatile attribute (VOLATILE_JOB_ATTRS).
-            ADV_REFRESHES.inc()
-            message = Refresh(
-                sender=self.address,
-                recipient=collector,
-                name=self._ad_name(job),
-                fingerprint=cached[1],
-                lifetime=self.ad_lifetime,
-                sequence=self._sequence,
-                volatile=(("AdvertisedAt", now),),
-            )
+            message = adv.refresh(slot, (("AdvertisedAt", now),))
         else:
-            ad = job.to_classad(self.address, now)
-            fp = fingerprint(ad, exclude=VOLATILE_JOB_ATTRS)
-            self._ad_cache[slot] = (key, fp, now)
-            ADV_FULL_ADS.inc()
-            message = Advertisement(
-                sender=self.address,
-                recipient=collector,
-                name=self._ad_name(job),
-                ad=ad,
-                lifetime=self.ad_lifetime,
-                sequence=self._sequence,
-                fingerprint=fp,
-            )
+            message = adv.full(slot, job.to_classad(self.address, now), key)
         # One blind extra copy, abandoned once the job stops being idle
         # (stale copies of older ads are dropped by the collector's
         # sequence check anyway).
         with _causal.activate(self._job_causal(job.job_id)):
-            self._ad_retx.send(
-                message,
-                stop_when=lambda: job.state is not JobState.IDLE
-                or job.job_id in self._pending_jobs,
+            adv.send(
+                message, lambda: job.state is not JobState.IDLE or job.job_id in self._pending_jobs
             )
-        self._advertised_to.setdefault(job.job_id, set()).add(collector)
         self.trace.emit(
             self.sim.now,
             "advertise-job" if collector == self.collector_address else "advertise-job-flock",
@@ -380,22 +333,7 @@ class CustomerAgent:
     def _withdraw_job(self, job: Job) -> None:
         """Withdraw the job's ad from every collector that received it."""
         with _causal.activate(self._job_causal(job.job_id)):
-            for collector in self._advertised_to.pop(
-                job.job_id, {self.collector_address}
-            ):
-                # A withdrawn ad must never be refreshed back to life.
-                self._ad_cache.pop((job.job_id, collector), None)
-                self.net.send(
-                    Withdrawal(
-                        sender=self.address,
-                        recipient=collector,
-                        name=self._ad_name(job),
-                        # Every ad/refresh already in flight for this job
-                        # carries a smaller-or-equal sequence, so the
-                        # collector can drop reordered late copies.
-                        sequence=self._sequence,
-                    )
-                )
+            self._advertiser.withdraw(self._ad_name(job), self.collector_address)
 
     def advertise_queue(self) -> None:
         """Refresh the request ads of every idle job.
@@ -441,7 +379,7 @@ class CustomerAgent:
             job_id = int(message.name[len(prefix):])
         except ValueError:
             return
-        self._ad_cache.pop((job_id, message.sender), None)
+        self._advertiser.forget(message.name, message.sender)
         job = self.jobs.get(job_id)
         if (
             job is None

@@ -22,6 +22,7 @@ from .advertising import (
     VOLATILE_JOB_ATTRS,
     VOLATILE_MACHINE_ATTRS,
     AdStore,
+    Advertiser,
     StoredAd,
     ValidationResult,
     stable_equal,
@@ -64,6 +65,7 @@ __all__ = [
     "retries_enabled",
     "set_retries",
     "AdStore",
+    "Advertiser",
     "Advertisement",
     "ChallengeResponse",
     "ClaimDecision",

@@ -89,6 +89,8 @@ class Retransmitter:
     pending" — or the try budget is spent.
     """
 
+    __slots__ = ("sim", "net", "rng", "kind", "policy")
+
     def __init__(self, sim, net, rng=None, kind: str = "message", policy: BackoffPolicy = DEFAULT_POLICY):
         self.sim = sim
         self.net = net

@@ -104,6 +104,20 @@ class TestCollector:
         assert set(grouped) == {"alice", "bob"}
         assert [ad.evaluate("JobId") for ad in grouped["alice"]] == [3, 1]
 
+    def test_an_ad_inserted_around_the_collector_is_classified_and_grouped(self):
+        advertise(self.net, "job.a.1", job_ad("alice", 1, qdate=10))
+        self.sim.run_until(1.0)
+        assert [ad.evaluate("JobId") for ad in self.collector.job_ads_by_owner()["alice"]] == [1]
+        # Straight into the store, past the message handler: the record
+        # is classified on admission and the cached grouping notices.
+        self.collector.store.insert("job.a.3", job_ad("alice", 3, qdate=5), now=1.0)
+        self.collector.store.insert("machine.m0", machine_ad("m0", state="Owner"), now=1.0)
+        assert self.collector.store.record("machine.m0").state == "owner"
+        grouped = self.collector.job_ads_by_owner()
+        assert [ad.evaluate("JobId") for ad in grouped["alice"]] == [3, 1]
+        self.collector.store.remove("job.a.1")
+        assert [ad.evaluate("JobId") for ad in self.collector.job_ads_by_owner()["alice"]] == [3]
+
     def test_query(self):
         advertise(self.net, "machine.m0", machine_ad("m0", memory=64))
         advertise(self.net, "machine.m1", machine_ad("m1", memory=16), sequence=2)

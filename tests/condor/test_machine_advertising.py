@@ -75,9 +75,16 @@ def stable_fp(ad):
     return fingerprint(ad.copy(), exclude=VOLATILE_MACHINE_ATTRS)
 
 
+def last_full_ad(agent):
+    """The last full ad the agent sent, None once forgotten: its
+    advertising slot's basis is (that ad, its stable key)."""
+    basis = agent._slot.basis
+    return None if basis is None else basis[0]
+
+
 def assert_builds_like_reference(agent):
     ad, ref = agent.build_ad(), reference_ad(agent)
-    assert ad is not agent._last_ad
+    assert ad is not last_full_ad(agent)
     assert stable_fp(ad) == stable_fp(ref)
     assert ad.keys() == ref.keys()
     assert dumps(ad) == dumps(ref)
@@ -248,7 +255,7 @@ class TestReuse:
     def test_every_call_returns_a_new_ad_sharing_the_stable_expressions(self):
         h = Harness()
         h.sim.run_until(PERIOD + 1.0)
-        last = h.agent._last_ad
+        last = last_full_ad(h.agent)
         a, b = h.agent.build_ad(), h.agent.build_ad()
         assert a is not b and a is not last and b is not last
         for key, expr in last._fields.items():

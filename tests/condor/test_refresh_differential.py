@@ -38,6 +38,7 @@ from repro.condor.machine import MachineAgent
 from repro.matchmaking.matchmaker import reset_cycle_ids
 from repro.obs.invariants import check_events
 from repro.protocols import Advertisement, Refresh, ResendRequest, reset_message_ids
+from repro.protocols.advertising import classify
 from repro.sim import Network, RngStream, Simulator
 from repro.sim.chaos import PROFILES, chaos_profile
 
@@ -197,9 +198,9 @@ class TestChaosProfiles:
 
 
 class TestIncrementalViewsMatchNaive:
-    """Satellites 1+2: the collector's incremental composition counts and
-    the cached owner-grouped job view must always agree with a from-
-    scratch recomputation over the store."""
+    """The collector's pool-composition sample and its cached
+    owner-grouped job view must always agree with a from-scratch
+    recomputation over the store."""
 
     def _run_partial(self, until=700.0):
         pool = _build_pool(machines=5)
@@ -212,7 +213,7 @@ class TestIncrementalViewsMatchNaive:
         machines = jobs = 0
         states = {}
         for ad in collector.store.ads():
-            kind, state = collector._classify(ad)
+            kind, state = classify(ad)
             if kind == "machine":
                 machines += 1
                 states[state] = states.get(state, 0) + 1
@@ -231,13 +232,29 @@ class TestIncrementalViewsMatchNaive:
             for owner, pairs in grouped.items()
         }
 
+    @staticmethod
+    def _sampled(collector):
+        """The composition ``sample_pool`` records, shaped like
+        ``_naive_composition``'s (machine states are Owner, Unclaimed or
+        Claimed)."""
+        obs.reset()
+        obs.enable(timeseries=True)
+        try:
+            collector.sample_pool()
+            fields = obs.series.last().fields
+        finally:
+            obs.disable()
+            obs.reset()
+        states = {s: fields[s] for s in ("owner", "unclaimed", "claimed") if fields[s]}
+        return fields["machines"], states, fields["jobs_idle"]
+
     def test_composition_counts_match_store_scan(self):
-        collector = self._run_partial().collector
-        machines, states, jobs = self._naive_composition(collector)
-        assert collector._n_machines == machines
-        assert collector._n_jobs == jobs
-        live = {k: v for k, v in collector._state_counts.items() if v}
-        assert live == states
+        pool = self._run_partial(until=30.0)  # jobs queued, none matched yet
+        for until in (30.0, 700.0):
+            pool.run_until(until)
+            machines, states, jobs = self._naive_composition(pool.collector)
+            assert machines == 5 and (jobs > 0) == (until < 60.0)
+            assert self._sampled(pool.collector) == (machines, states, jobs)
 
     def test_job_grouping_matches_store_scan(self):
         collector = self._run_partial().collector
@@ -251,10 +268,14 @@ class TestIncrementalViewsMatchNaive:
 
     def test_counts_survive_expiry_and_crash(self):
         pool = self._run_partial()
-        pool.collector.crash()
-        assert pool.collector._n_machines == 0
-        assert pool.collector._n_jobs == 0
-        assert self._naive_composition(pool.collector) == (0, {}, 0)
+        pool.machines["m0"].crash()
+        pool.run_until(700.0 + 4 * 60.0 + 60.0)  # past its lifetime and a sweep
+        collector = pool.collector
+        assert "machine.m0" not in collector.store
+        assert self._sampled(collector) == self._naive_composition(collector)
+        collector.crash()
+        assert self._sampled(collector) == (0, {}, 0)
+        assert self._naive_composition(collector) == (0, {}, 0)
 
 
 # -- where a Refresh draws a resync on a running pool ------------------------
@@ -365,9 +386,9 @@ class TestLostContentChange:
         assert isinstance(sent[-1], Refresh)
 
         agent.spec.memory = 128  # stable content changes at the t=180 period
-        dropping.add(agent._sequence + 1)
+        dropping.add(agent._advertiser.sequence + 1)
         sim.run_until(181.0)
-        new_fp = agent._last_fp
+        new_fp = agent._slot.fingerprint
         assert new_fp != old_fp
         sim.run_until(239.0)
         assert len(lost) == 2 and lost[0] is lost[1]  # the ad and its blind copy

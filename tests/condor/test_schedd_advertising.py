@@ -61,6 +61,15 @@ def make_schedd(flock=(), flock_threshold=600.0):
     return sim, net, ca, inboxes
 
 
+def slots_of(ca):
+    """The schedd's advertising slots by (ad name, collector)."""
+    return {
+        (name, recipient): slot
+        for name, slots in ca._advertiser._slots.items()
+        for recipient, slot in slots.items()
+    }
+
+
 def ads_in(inbox, since=0):
     return [m for m in inbox[since:] if isinstance(m, (Advertisement, Refresh))]
 
@@ -248,7 +257,8 @@ class TestChangeForcesOneFullAd:
         sim, net, ca, inboxes = make_schedd()
         ca.submit(Job(owner="alice", total_work=100.0))
         sim.run_until(70.0)
-        ((key, fp, sent_at),) = ca._ad_cache.values()
+        (slot,) = slots_of(ca).values()
+        key, fp, sent_at = slot.basis, slot.fingerprint, slot.sent_at
         assert not any(isinstance(part, ClassAd) for part in (key, fp, sent_at, *key))
         assert sent_at == 1.0 and isinstance(fp, str)
 
@@ -283,9 +293,11 @@ class TestProtocolCorners:
         # at 120 — with a full ad, whatever the local collector holds.
         assert kinds(inboxes[LOCAL]) == ["Advertisement", "Refresh", "Refresh", "Refresh"]
         assert kinds(inboxes[REMOTE]) == ["Advertisement", "Refresh"]
-        assert set(ca._ad_cache) == {(job.job_id, LOCAL), (job.job_id, REMOTE)}
-        assert ca._ad_cache[(job.job_id, LOCAL)][2] == 1.0
-        assert ca._ad_cache[(job.job_id, REMOTE)][2] == 120.0
+        name = ca._ad_name(job)
+        slots = slots_of(ca)
+        assert set(slots) == {(name, LOCAL), (name, REMOTE)}
+        assert slots[(name, LOCAL)].sent_at == 1.0
+        assert slots[(name, REMOTE)].sent_at == 120.0
 
     def test_a_withdrawn_job_is_never_refreshed_back(self):
         sim, net, ca, inboxes = make_schedd()
@@ -298,7 +310,7 @@ class TestProtocolCorners:
         sim.run_until(72.0)
         assert job.state is JobState.RUNNING
         assert any(isinstance(m, Withdrawal) for m in inboxes[LOCAL])
-        assert not ca._ad_cache
+        assert not slots_of(ca)
         mark = len(inboxes[LOCAL])
         sim.run_until(400.0)
         assert kinds(inboxes[LOCAL], mark) == []

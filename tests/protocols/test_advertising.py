@@ -1,7 +1,16 @@
 """Unit tests for the advertising protocol (S9)."""
 
 from repro.classads import ClassAd
-from repro.protocols import AdStore, validate_ad
+from repro.protocols import (
+    VOLATILE_MACHINE_ATTRS,
+    AdStore,
+    Advertisement,
+    Advertiser,
+    Refresh,
+    Withdrawal,
+    validate_ad,
+)
+from repro.protocols.advertising import classify
 
 
 def valid_ad(**extra):
@@ -112,3 +121,125 @@ class TestAdStore:
         assert len(store.ads()) == 2
         assert sorted(r.name for r in store.records()) == ["a", "b"]
         assert sorted(store) == ["a", "b"]
+
+
+class TestAdvertiser:
+    """One agent's sending side: numbering, full-or-Refresh, the blind
+    copy, forgetting and withdrawal."""
+
+    def setup_method(self):
+        from repro.sim import Network, RngStream, Simulator
+
+        self.sim = Simulator()
+        self.net = Network(self.sim, rng=RngStream(1), latency=0.01)
+        self.sent = []
+        self.net.register("collector@cm", self.sent.append)
+        self.adv = Advertiser(
+            self.sim, self.net, "startd@m0", 60.0, 180.0, VOLATILE_MACHINE_ATTRS
+        )
+        self.slot = self.adv.slot("machine.m0", "collector@cm")
+
+    def advertise(self, basis="k"):
+        """The agent's part: refresh while the basis is unchanged."""
+        ad = valid_ad(LoadAvg=0.5)
+        if self.adv.refreshable(self.slot) == basis:
+            message = self.adv.refresh(self.slot, (("LoadAvg", 0.5),))
+        else:
+            message = self.adv.full(self.slot, ad, basis)
+        self.adv.send(message, lambda: False)
+        return message
+
+    def test_first_ad_is_full_then_refreshes_name_its_fingerprint(self):
+        first = self.advertise()
+        self.sim.run_until(60.0)
+        second = self.advertise()
+        assert isinstance(first, Advertisement) and isinstance(second, Refresh)
+        assert second.fingerprint == first.fingerprint == self.slot.fingerprint
+        assert (first.sequence, second.sequence) == (1, 2)
+        assert self.slot.sent_at == 0.0
+
+    def test_an_ad_at_the_instant_of_its_full_ad_goes_out_in_full(self):
+        first = self.advertise()
+        again = self.advertise()  # same instant, same basis
+        assert isinstance(again, Advertisement)
+        assert again.sequence == first.sequence + 1
+        self.sim.run_until(1.0)
+        assert isinstance(self.advertise(), Refresh)
+
+    def test_after_forget_the_next_ad_is_full(self):
+        self.advertise()
+        self.sim.run_until(60.0)
+        self.adv.forget("machine.m0", "collector@cm")
+        assert self.adv.refreshable(self.slot) is None
+        assert isinstance(self.advertise(), Advertisement)
+        self.adv.forget("machine.m0", "collector@far")  # never advertised there: no-op
+        self.sim.run_until(120.0)
+        assert isinstance(self.advertise(), Refresh)
+
+    def test_a_changed_basis_goes_out_in_full(self):
+        self.advertise(basis="k")
+        self.sim.run_until(60.0)
+        assert isinstance(self.advertise(basis="k2"), Advertisement)
+        assert self.slot.basis == "k2"
+
+    def test_every_ad_gets_one_blind_copy(self):
+        first = self.advertise()
+        self.sim.run_until(59.0)
+        assert [m for m in self.sent if m is first] == [first, first]
+
+    def test_withdraw_outnumbers_every_ad_and_the_name_is_never_refreshed(self):
+        ads = [self.advertise()]
+        for t in (60.0, 120.0):
+            self.sim.run_until(t)
+            ads.append(self.advertise())
+        self.adv.withdraw("machine.m0", "collector@cm")
+        self.sim.run_until(121.0)
+        (withdrawal,) = [m for m in self.sent if isinstance(m, Withdrawal)]
+        assert withdrawal.sequence >= max(m.sequence for m in ads)
+        # The next ad under the name starts a fresh slot: in full.
+        self.slot = self.adv.slot("machine.m0", "collector@cm")
+        self.sim.run_until(180.0)
+        after = self.advertise()
+        assert isinstance(after, Advertisement) and after.sequence > withdrawal.sequence
+
+    def test_withdraw_reaches_every_collector_or_the_default(self):
+        self.net.register("collector@far", self.sent.append)
+        self.advertise()
+        self.slot = self.adv.slot("machine.m0", "collector@far")
+        self.advertise()
+        self.adv.withdraw("machine.m0", "collector@cm")
+        self.adv.withdraw("machine.never", "collector@cm")
+        self.sim.run_until(1.0)
+        withdrawn = [(m.name, m.recipient) for m in self.sent if isinstance(m, Withdrawal)]
+        assert sorted(withdrawn) == [
+            ("machine.m0", "collector@cm"),
+            ("machine.m0", "collector@far"),
+            ("machine.never", "collector@cm"),
+        ]
+
+
+class TestStoredDerivedState:
+    def test_admission_classifies_and_replacement_reclassifies(self):
+        store = AdStore()
+        store.insert("m", valid_ad(State="Owner"), now=0.0, sequence=1)
+        rec = store.record("m")
+        assert (rec.kind, rec.state) == ("machine", "owner")
+        store.insert("m", valid_ad(State="Claimed"), now=1.0, sequence=2)
+        assert store.record("m").state == "claimed"
+        assert classify(ClassAd({"Type": "JOB"})) == ("job", "")
+        assert classify(ClassAd({"Memory": 4})) == ("", "")
+
+    def test_jobs_version_moves_only_with_job_ads(self):
+        store = AdStore()
+        job = ClassAd({"Type": "Job", "Owner": "alice"})
+        store.insert("m", valid_ad(), now=0.0)
+        before = store.jobs_version
+        store.touch("m", now=1.0)
+        assert store.jobs_version == before
+        store.insert("j", job, now=1.0, lifetime=10.0)
+        assert store.jobs_version > before
+        before = store.jobs_version
+        store.touch("j", now=2.0, lifetime=10.0)
+        assert store.jobs_version == before
+        assert store.expire(now=100.0) == ["j"]
+        assert store.jobs_version > before
