@@ -106,7 +106,7 @@ class TestMessageLossRobustness:
         """A lost JobCompleted would strand the job as RUNNING forever;
         the RA therefore retries teardown notices until the CA acks
         (Condor gets this from TCP; our network is datagram-like)."""
-        from repro.condor.machine import MachineAgent
+        from repro.condor.machine import NOTICE_POLICY, MachineAgent
         from repro.condor.messages import JobCompleted, NoticeAck
         from repro.protocols import ClaimRequest
         from repro.sim import Network, RngStream, Simulator
@@ -134,7 +134,7 @@ class TestMessageLossRobustness:
         )
         # The CA never acks (we registered a dumb inbox): the notice must
         # be resent every retry interval.
-        sim.run_until(1.0 + 10.0 + 3 * agent.notice_retry_interval + 1.0)
+        sim.run_until(1.0 + 10.0 + 3 * NOTICE_POLICY.base + 1.0)
         completions = [m for m in inbox if isinstance(m, JobCompleted)]
         assert len(completions) >= 3
         # Once acked, retries stop.
@@ -143,7 +143,7 @@ class TestMessageLossRobustness:
         )
         sim.run_until(sim.now + 0.1)
         count_after_ack = len([m for m in inbox if isinstance(m, JobCompleted)])
-        sim.run_until(sim.now + 5 * agent.notice_retry_interval)
+        sim.run_until(sim.now + 5 * NOTICE_POLICY.base)
         assert (
             len([m for m in inbox if isinstance(m, JobCompleted)]) == count_after_ack
         )
