@@ -112,15 +112,7 @@ class ClassAd:
         self._fpcache: Optional[dict] = None
         self._derived: Optional[tuple] = None
         if fields is not None:
-            # Bulk load: same binding rule as __setitem__, but a new ad
-            # has no caches to invalidate key by key.
-            names, bound = self._names, self._fields
-            items = fields.items() if isinstance(fields, Mapping) else fields
-            for name, value in items:
-                key = name.lower()
-                if key not in names:
-                    names[key] = name
-                bound[key] = _value_to_expr(value)
+            self.update(fields)
 
     # -- mapping protocol ----------------------------------------------
 
@@ -194,18 +186,36 @@ class ClassAd:
 
         self[name] = parse(source)
 
-    def update(self, other: Union[Mapping, "ClassAd"]) -> None:
-        """Merge attributes from *other*, overwriting on collision."""
+    def update(self, other: Union[Mapping, "ClassAd", Iterable[Tuple[str, Any]]]) -> None:
+        """Merge *other* (a mapping, an ad or ``(name, value)`` pairs) by
+        ``__setitem__``'s rules, dropping the caches once per batch."""
         items = other.items() if hasattr(other, "items") else other
+        names, fields, ccache = self._names, self._fields, self._ccache
+        keep_derived = self._derived is not None
         for name, value in items:
-            self[name] = value
+            key = name.lower()
+            names.setdefault(key, name)
+            expr = Literal(value) if type(value) in _SCALAR_CLASSES else _value_to_expr(value)
+            if keep_derived and (type(expr) is not Literal or type(fields.get(key)) is not Literal):
+                keep_derived = False
+            fields[key] = expr
+            if ccache is not None:
+                ccache.pop(key, None)
+        if not keep_derived:
+            self._derived = None
+        self._fpcache = None
 
-    def copy(self) -> "ClassAd":
+    def copy(self, bind: Iterable[Tuple[str, Any]] = ()) -> "ClassAd":
         """A shallow copy (expressions are immutable and shared), with
-        order and spelling kept and every cache starting empty."""
+        order and spelling kept and every cache starting empty, and then
+        each ``(name, value)`` of *bind* bound by ``__setitem__``'s rules."""
         ad = ClassAd()
-        ad._fields = self._fields.copy()
-        ad._names = self._names.copy()
+        ad._fields = fields = self._fields.copy()
+        ad._names = names = self._names.copy()
+        for name, value in bind:
+            key = name.lower()
+            names.setdefault(key, name)
+            fields[key] = Literal(value) if type(value) in _SCALAR_CLASSES else _value_to_expr(value)
         return ad
 
     # -- evaluation ------------------------------------------------------

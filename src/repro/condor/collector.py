@@ -163,15 +163,15 @@ class Collector:
         :class:`ResendRequest`; the sender's next full advertisement
         restores state within one round trip.
         """
-        _COL_RECEIVED.inc()
-        if self.store.withdrawn_after(message.name, message.sequence):
-            # Late copy of an ad withdrawn since it was sent: drop it as
-            # stale (same observable outcome as the full-ad path, where
-            # the reordered Advertisement dies on the tombstone).
+        if _metrics.enabled:
+            _COL_RECEIVED.inc()
+        rec = self.store.record(message.name)
+        if rec is None and self.store.withdrawn_after(message.name, message.sequence):
+            # Late copy of an ad withdrawn since it was sent (a stored name
+            # never is): drop it as stale, as the full-ad path would.
             if _events.enabled:
                 self._arrived(message, False)
             return
-        rec = self.store.record(message.name)
         # Checked before the sequence: a late Refresh older than a
         # content-changing full ad draws a needless resend instead of
         # being dropped as stale (pinned in test_central_manager.py).
@@ -198,12 +198,11 @@ class Collector:
             lifetime=message.lifetime,
             sequence=message.sequence,
         )
-        if renewed:
+        if renewed and _metrics.enabled:
             _COL_REFRESH_HITS.inc()
         if renewed and not duplicate:
             ad = rec.ad
-            for attr, value in message.volatile:
-                ad[attr] = value
+            ad.update(message.volatile)
             # The maintained index only needs to hear about the renewal
             # if a volatile attribute participates in it (none of the
             # default equality/range attributes are volatile).
@@ -211,9 +210,7 @@ class Collector:
                 idx = self._mindex.index
                 indexed = idx.equality_attrs | idx.range_attrs
                 if any(attr.lower() in indexed for attr, _ in message.volatile):
-                    if not self._mindex.advertise(
-                        message.name, ad, had_prior=True
-                    ):
+                    if not self._mindex.advertise(message.name, ad, had_prior=True):
                         self._mindex = None
         if _events.enabled:
             self._arrived(message, bool(renewed))
@@ -231,7 +228,8 @@ class Collector:
     # -- queries ----------------------------------------------------------
 
     def machine_ads(self) -> List[ClassAd]:
-        return select(self.store.ads(), 'Type == "Machine"')
+        """The ads ``Type == "Machine"`` selects, by each record's kind."""
+        return [rec.ad for rec in self.store.records() if rec.kind == "machine"]
 
     def provider_index(self) -> MaintainedIndex:
         """The persistent machine index, seeded from the store on first
@@ -249,7 +247,8 @@ class Collector:
         return mindex
 
     def job_ads(self) -> List[ClassAd]:
-        return select(self.store.ads(), 'Type == "Job"')
+        """The ads ``Type == "Job"`` selects, by each record's kind."""
+        return [rec.ad for rec in self.store.records() if rec.kind == "job"]
 
     def job_ads_by_owner(self) -> Dict[str, List[ClassAd]]:
         """Idle request ads grouped per submitter, queue order preserved.

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import is_
 from typing import Callable, Dict, Optional
 
 from ..classads import ClassAd, parse, rank_value, values_equal
@@ -100,6 +102,10 @@ _HEAD, _TAIL = len(_AD_NAMES) - 3, 8
 #: (the list's length and items follow it).
 _PLAIN = frozenset({bool, int, float, str, type(None)})
 _LIST = object()
+#: The key's Activity strings, and whether an extra attribute's name is
+#: volatile, each worked out once.
+_BUSY, _IDLE = Activity.BUSY.value, Activity.IDLE.value
+_is_volatile = lru_cache(maxsize=1024)(lambda name: name.lower() in VOLATILE_MACHINE_ATTRS)
 
 
 class _Unkeyed:
@@ -216,11 +222,13 @@ class MachineAgent:
             sim, net, self.address, advertise_interval, self.ad_lifetime,
             VOLATILE_MACHINE_ATTRS, rng=retry_rng,
         )
-        # The one slot: its basis is (last full ad, its stable key), which
-        # build_ad copies while the key is unchanged.  _key is the key of
-        # the ad build_ad returned last.
+        # The one slot: its basis is (last full ad, its stable key, whether
+        # the key holds a NaN), which build_ad copies while the key is
+        # unchanged.  _key is the key of the ad build_ad returned last, and
+        # _refresh its volatile (name, value) pairs if it was such a copy.
         self._slot = self._advertiser.slot(f"machine.{spec.name}", collector_address)
-        self._key: Optional[tuple] = None
+        self._key: tuple = ()
+        self._refresh: Optional[tuple] = None
         #: Teardown notices not yet acked, by match id.
         self._pending_notices: Dict[int, object] = {}
         self._notice_retx = Retransmitter(sim, net, kind="notice", policy=NOTICE_POLICY)
@@ -335,16 +343,15 @@ class MachineAgent:
         hits and list items still compare type-exactly.
         """
         spec, claim, ticket = self.spec, self.claim, self.authority.current
-        busy = claim is not None or self.owner_active
         key = [
-            "Machine", spec.name, self.state.value,
-            Activity.BUSY.value if busy else Activity.IDLE.value,
+            "Machine", spec.name, self.state._value_,
+            _BUSY if claim is not None or self.owner_active else _IDLE,
             spec.arch, spec.opsys, spec.memory, spec.disk, spec.mips, spec.kflops,
             self.address,
         ]
         for name, value in spec.extra_attrs.items():
             kind = type(value)
-            if name.lower() in VOLATILE_MACHINE_ATTRS:
+            if _is_volatile(name):
                 key += (name, _Unkeyed(value))
             elif kind in _PLAIN:
                 key += (name, value)
@@ -366,23 +373,28 @@ class MachineAgent:
 
         While :meth:`stable_key` equals the key of the last full ad sent
         (the advertising slot's basis), the ad is a copy of that one with
-        the volatile literals rebound: it shares every stable expression,
-        so :func:`stable_equal` answers by identity.  Every call returns a new ad, and no ad is
-        mutated once built — the collector stores the very object an
-        advertisement carries.
+        the volatile literals rebound, and :meth:`advertise` sends those
+        values as a Refresh without comparing the ads.  Every call
+        returns a new ad, and no ad is mutated once built — the
+        collector stores the very object an advertisement carries.
         """
         key = self.stable_key()
         basis = self._slot.basis
-        if basis is not None and len(key) == len(basis[1]) and values_equal(key, basis[1]):
-            self._key = basis[1]
-            ad = basis[0].copy()
-            ad["LoadAvg"] = self.load_avg
-            ad["KeyboardIdle"] = self.keyboard_idle
-            ad["DayTime"] = self.day_time
-            return ad
-        self._key = key
-        volatile = (self.load_avg, self.keyboard_idle, self.day_time)
-        ad = ClassAd(zip(_AD_NAMES, (*key[: _HEAD - 1], *volatile, key[_HEAD - 1])))
+        refresh = (
+            ("LoadAvg", self.load_avg),
+            ("KeyboardIdle", self.keyboard_idle),
+            ("DayTime", self.day_time),
+        )
+        # Identical values are equal ones, but for a NaN (values_equal).
+        if basis is not None and len(key) == len(last := basis[1]) and (
+            not basis[2] and all(map(is_, key, last)) or values_equal(key, last)
+        ):
+            self._key, self._refresh = last, refresh
+            return basis[0].copy(refresh)
+        self._key, self._refresh = key, None
+        ad = ClassAd(
+            (*zip(_AD_NAMES, key[: _HEAD - 1]), *refresh, ("ContactAddress", key[_HEAD - 1]))
+        )
         i, end = _HEAD, len(key) - _TAIL
         while i < end:
             name, value = key[i], key[i + 1]
@@ -410,21 +422,25 @@ class MachineAgent:
             return
         adv, slot = self._advertiser, self._slot
         ad = self.build_ad()
-        message = None
-        basis = adv.refreshable(slot)
-        if basis is not None and stable_equal(ad, basis[0], VOLATILE_MACHINE_ATTRS):
-            volatile = volatile_values(ad, VOLATILE_MACHINE_ATTRS)
-            if volatile is not None:
-                message = adv.refresh(slot, volatile)
-        if message is None:
-            message = adv.full(slot, ad, (ad, self._key))
+        basis, volatile = adv.refreshable(slot), None
+        if basis is not None:
+            # A copy of the basis (equal keys: an equal stable fingerprint)
+            # refreshes with the values build_ad bound; any other is compared.
+            volatile = self._refresh
+            if volatile is None and stable_equal(ad, basis[0], VOLATILE_MACHINE_ATTRS):
+                volatile = volatile_values(ad, VOLATILE_MACHINE_ATTRS)
+        if volatile is not None:
+            message = adv.refresh(slot, volatile)
+        else:
+            message = adv.full(slot, ad, (ad, self._key, any(v != v for v in self._key)))
         # Retransmit unless a newer ad has superseded this one (the
         # collector would drop the stale sequence anyway) or we died.
         seq = message.sequence
         adv.send(message, lambda: adv.sequence != seq or self.crashed)
-        self.trace.emit(
-            self.sim.now, "advertise-machine", machine=self.spec.name, state=self.state.value
-        )
+        if self.trace.enabled or _events.enabled:
+            self.trace.emit(
+                self.sim.now, "advertise-machine", machine=self.spec.name, state=self.state.value
+            )
 
     # -- message handling ------------------------------------------------------
 

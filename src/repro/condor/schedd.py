@@ -481,7 +481,15 @@ class CustomerAgent:
     def _on_claim_response(self, response: ClaimResponse) -> None:
         pending = self._pending.pop(response.match_id, None)
         if pending is None:
-            return  # timed out already, or duplicate
+            # Timed out already, or a duplicate.  An accept that is not a
+            # copy of the active claim's came after the time-out, and the
+            # job may be claimed elsewhere: relinquish this claim.
+            match_id = response.match_id
+            if response.accepted and match_id not in self._active:
+                self.net.send(
+                    ReleaseNotice(sender=self.address, recipient=response.sender, match_id=match_id)
+                )
+            return
         self.sim.cancel(pending.timeout_handle)
         job = pending.job
         self._pending_jobs.discard(job.job_id)

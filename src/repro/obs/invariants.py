@@ -3,11 +3,12 @@
 The chaos harness (:mod:`repro.sim.chaos`) makes the network lie —
 drop, duplicate, partition — and crashes daemons mid-claim.  The
 hardened protocols are supposed to keep the pool *safe* (no machine
-ever runs two jobs at once, no job ever holds two claims at once) and
-*live* (every accepted claim eventually terminates; under bounded chaos
-every submitted job eventually completes).  This module checks those
-four invariants against a ``repro-events/1`` stream after the fact, so
-a chaos run can be audited from its recorded log alone::
+ever runs two jobs at once, no job ever holds two claims at once — as
+the customer sees it or as the machines do) and *live* (every accepted
+claim eventually terminates; under bounded chaos every submitted job
+eventually completes).  This module checks those invariants against a
+``repro-events/1`` stream after the fact, so a chaos run can be audited
+from its recorded log alone::
 
     repro obs check events.jsonl --require-complete
 
@@ -165,6 +166,20 @@ def check_events(
         if kind == "claim-response" and fields.get("accepted"):
             machine = fields.get("machine")
             counts["machine_claims"] += 1
+            # Machine-side events name no owner: the job's other holders
+            # are found through the match ids.
+            key = match_to_key.get(fields.get("match"))
+            for other, held in machine_claims.items():
+                if key is not None and other != machine and match_to_key.get(held[2]) == key:
+                    report.violations.append(
+                        Violation(
+                            "job-double-held",
+                            f"machine {machine!r} accepted match {fields.get('match')} for job "
+                            f"{key} while machine {other!r} still held it under match {held[2]} "
+                            f"(accepted at t={held[1]:.3f})",
+                            event.seq, event.t, **anchor(match=fields.get("match"), key=key),
+                        )
+                    )
             open_claim = machine_claims.get(machine)
             if open_claim is not None:
                 report.violations.append(

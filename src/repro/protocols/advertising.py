@@ -26,15 +26,18 @@ This module provides:
 * :class:`Advertiser` — one agent's sending side of all that; the
   agent keeps only its own test of "unchanged since the last full ad".
 
-Expiry is served by a lazily-invalidated heap: every admit/renew pushes
-``(expires_at, name)`` and :meth:`AdStore.expire` pops entries that are
-due, discarding entries whose record has since been replaced, renewed,
-or removed — O(k log n) per sweep.
+Expiry is served by a lazy heap holding one ``(time, name)`` entry per
+record, queued at or before its expiry: a renewal that moves the expiry
+later pushes nothing, and :meth:`AdStore.expire` re-queues a record it
+finds renewed at its real expiry, and discards entries whose record has
+since been removed or re-queued sooner — O(k log n) per sweep, and one
+push per record per lifetime in steady state.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
@@ -196,7 +199,8 @@ class Advertiser:
     def refresh(self, slot: AdSlot, volatile: Tuple[Tuple[str, object], ...]) -> Refresh:
         """The next ad under *slot* as a Refresh carrying *volatile*."""
         self.sequence += 1
-        _ADV_REFRESHES.inc()
+        if _metrics.enabled:
+            _ADV_REFRESHES.inc()
         return Refresh(
             sender=self.sender, recipient=slot.recipient, name=slot.name,
             fingerprint=slot.fingerprint, lifetime=self.lifetime, sequence=self.sequence,
@@ -307,6 +311,9 @@ class StoredAd:
     state: str = ""
     ctx: Optional[TraceContext] = None
     job_key: Optional[tuple] = None
+    #: The time of the record's one entry in the store's expiry heap
+    #: (inf: none yet); never later than ``expires_at``.
+    queued_at: float = math.inf
 
 
 class AdStore:
@@ -336,21 +343,24 @@ class AdStore:
     def __init__(self):
         self._store: Dict[str, StoredAd] = {}
         self.jobs_version = 0
-        #: (expires_at, name) entries; an entry is live iff the stored
-        #: record still carries exactly that expiry.
+        #: (queued_at, name) entries; an entry is live iff the stored
+        #: record under *name* is still queued at exactly that time.
         self._expiry_heap: List[Tuple[float, str]] = []
         #: name -> withdrawing sender's sequence counter at removal time.
         self._tombstones: Dict[str, int] = {}
 
-    def _push_expiry(self, expires_at: float, name: str) -> None:
+    def _queue(self, rec: StoredAd) -> None:
+        """Queue *rec* at its expiry, which comes before its queued entry."""
+        rec.queued_at = rec.expires_at
         heap = self._expiry_heap
-        heapq.heappush(heap, (expires_at, name))
+        heapq.heappush(heap, (rec.expires_at, rec.name))
         if len(heap) > 4 * len(self._store) + 64:
-            # Too many invalidated entries (renew-heavy workload with no
-            # expiry sweeps): rebuild from the live records.
-            heap = [(rec.expires_at, rec.name) for rec in self._store.values()]
+            # Too many dead entries (removals, or leases shortened, with
+            # no expiry sweeps): rebuild from the live records.
+            for live in self._store.values():
+                live.queued_at = live.expires_at
+            self._expiry_heap = heap = [(r.expires_at, r.name) for r in self._store.values()]
             heapq.heapify(heap)
-            self._expiry_heap = heap
 
     def insert(
         self,
@@ -371,13 +381,15 @@ class AdStore:
             return False
         self._tombstones.pop(name, None)
         _ADS_REFRESHED.inc()
-        expires_at = now + lifetime
         rec = self._store[name] = StoredAd(
-            name, ad, now, expires_at, sequence, fingerprint, *classify(ad)
+            name, ad, now, now + lifetime, sequence, fingerprint, *classify(ad)
         )
+        if existing is not None:
+            rec.queued_at = existing.queued_at  # the replaced record's heap entry
         if rec.kind == "job" or (existing is not None and existing.kind == "job"):
             self.jobs_version += 1
-        self._push_expiry(expires_at, name)
+        if rec.expires_at < rec.queued_at:
+            self._queue(rec)
         return True
 
     def touch(
@@ -393,20 +405,23 @@ class AdStore:
         (mirroring :meth:`insert`'s sequence rule), and None when no ad
         is stored under *name* (the caller should request a resend).
         """
-        if self.withdrawn_after(name, sequence):
-            _ADS_STALE_DROPPED.inc()
-            return False
         rec = self._store.get(name)
         if rec is None:
+            # A stored name is never withdrawn: only a missing one can be.
+            if self.withdrawn_after(name, sequence):
+                _ADS_STALE_DROPPED.inc()
+                return False
             return None
         if sequence < rec.sequence:
             _ADS_STALE_DROPPED.inc()
             return False
-        _ADS_REFRESHED.inc()
+        if _metrics.enabled:
+            _ADS_REFRESHED.inc()
         rec.received_at = now
         rec.expires_at = now + lifetime
         rec.sequence = sequence
-        self._push_expiry(rec.expires_at, name)
+        if rec.expires_at < rec.queued_at:
+            self._queue(rec)  # a shorter lease than the queued one
         return True
 
     def withdrawn_after(self, name: str, sequence: int) -> bool:
@@ -440,10 +455,15 @@ class AdStore:
         heap = self._expiry_heap
         store = self._store
         while heap and heap[0][0] <= now:
-            expires_at, name = heapq.heappop(heap)
+            queued_at, name = heapq.heappop(heap)
             rec = store.get(name)
-            if rec is None or rec.expires_at != expires_at:
-                continue  # replaced, renewed, or removed since: stale entry
+            if rec is None or rec.queued_at != queued_at:
+                continue  # removed, or queued sooner since: a dead entry
+            if rec.expires_at != queued_at:
+                # Renewed since it was queued: its real expiry is later,
+                # so the order of the names reaped stays (expires_at, name).
+                self._queue(rec)
+                continue
             del store[name]
             dead.append(name)
             if rec.kind == "job":

@@ -91,7 +91,7 @@ class Advertisement(Message):
         return size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Refresh(Message):
     """A compact re-advertisement of an *unchanged* ad (the fast path).
 
@@ -113,6 +113,15 @@ class Refresh(Message):
     sequence: int
     #: ``(attribute name, scalar value)`` pairs, in ad insertion order.
     volatile: Tuple[Tuple[str, object], ...] = ()
+
+    def __init__(self, sender, recipient, name, fingerprint, lifetime, sequence, volatile=(),
+                 *, ctx=None):
+        # One write of the instance dict: half the cost of the generated
+        # frozen __init__, which binds field by field via object.__setattr__.
+        self.__dict__.update(
+            sender=sender, recipient=recipient, ctx=ctx, name=name, fingerprint=fingerprint,
+            lifetime=lifetime, sequence=sequence, volatile=volatile,
+        )
 
     def wire_size(self) -> int:
         return (

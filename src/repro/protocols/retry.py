@@ -106,7 +106,7 @@ class Retransmitter:
     ) -> None:
         self.net.send(message)
         pol = policy if policy is not None else self.policy
-        if retries_enabled() and pol.max_tries > 0:
+        if _retries_enabled and pol.max_tries > 0:
             self._arm((message, stop_when, pol, 0))
 
     # The retransmit state rides the kernel's argument slot as one
@@ -120,7 +120,7 @@ class Retransmitter:
 
     def _fire(self, state) -> None:
         message, stop_when, pol, attempt = state
-        if not retries_enabled():
+        if not _retries_enabled:
             return
         if stop_when is not None and stop_when():
             return

@@ -203,11 +203,6 @@ class Simulator:
             del slots[heapq.heappop(heap)]
         return None
 
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next pending event, or None."""
-        head = self._head()
-        return head[0] if head is not None else None
-
     def step(self) -> bool:
         """Process one event; False when the queue is empty."""
         head = self._head()
@@ -238,8 +233,8 @@ class Simulator:
         """Process events up to and including simulated *time*."""
         # Inlined dispatch loop: no per-event method calls beyond the
         # callback itself.  The earliest slot is re-read after every lone
-        # event and every run, so a callback may schedule, cancel, step
-        # or peek.  The past-event assertion is omitted here — the
+        # event and every run, so a callback may schedule, cancel or
+        # step.  The past-event assertion is omitted here — the
         # scheduling guards make it unreachable (step() still carries it).
         heap, slots = self._heap, self._slots
         registry = _metrics
@@ -335,7 +330,7 @@ class PeriodicTask:
         self.firings += 1
         self.callback()
         if not self.stopped:  # the callback may have stopped us
-            self._arm(self.interval)
+            self._handle = self.sim.schedule(self.interval, self._fire_cb)
 
     def stop(self) -> None:
         self.stopped = True

@@ -16,8 +16,8 @@ of the unified event model** in :mod:`repro.obs.events`:
   disabled — so an enabled event log sees the whole simulated protocol
   (advertisements, matches, claims, evictions) alongside the
   matchmaker's own ``cycle.*``/``match.*`` forensics, stamped with
-  simulated time.  The mirror no-ops on one boolean check while the
-  global log is off.
+  simulated time.  While the global log is off the mirror is one
+  boolean check: the fields are not even handed on.
 
 New code should emit through :data:`repro.obs.event_log` directly;
 ``Trace`` remains the sim-local, always-unbounded view the experiments
@@ -58,9 +58,10 @@ class Trace(KindQueries):
     def emit(self, time: float, kind: str, **fields: Any) -> None:
         if self.enabled:
             self.events.append(TraceEvent(len(self.events) + 1, time, kind, fields))
-        # Mirror into the forensic event log (no-op while it is off), so
-        # the repo has one queryable event stream, not two.
-        _global_log.emit(kind, t=time, **fields)
+        # Mirror into the forensic event log while it is on, so the repo
+        # has one queryable event stream, not two.
+        if _global_log.enabled:
+            _global_log.emit(kind, t=time, **fields)
 
     def between(self, start: float, end: float) -> List[TraceEvent]:
         return [e for e in self.events if start <= e.time <= end]

@@ -384,6 +384,83 @@ class TestTeardownNotices:
         assert not agent._pending_notices
 
 
+class TestLateClaimAccept:
+    """An accept that reaches the customer after ``claim_timeout`` must be
+    released: by then the job is idle again and may be claimed by a
+    second machine.  With 20 s of network jitter and no chaos, seed 7
+    lets a late accept from ``m0`` hold ``alice.8`` while ``m1`` runs it
+    unless the customer answers with a ReleaseNotice."""
+
+    @staticmethod
+    def run_pool():
+        """Run the scenario to completion, sampling every 10 s; return the
+        (t, (owner, job), machines) of every sample that found a job in
+        more than one machine's claim."""
+        pool = CondorPool(
+            [MachineSpec(name=f"m{i}", mips=100.0 + 50.0 * (i % 3)) for i in range(2)],
+            config=PoolConfig(
+                seed=7,
+                advertise_interval=60.0,
+                negotiation_interval=60.0,
+                chaos=False,
+                network_jitter=20.0,
+            ),
+        )
+        jobs = [
+            Job(job_id=j, owner="alice" if j % 2 == 0 else "bob",
+                total_work=600.0 + 60.0 * (j % 5))
+            for j in range(13)
+        ]
+        pool.submit_all(jobs, arrival_times=[5.0 * j for j in range(len(jobs))])
+        double_held = []
+        t = 0.0
+        while len(pool.completed_jobs()) < len(jobs) and t < 20_000.0:
+            t += 10.0
+            pool.run_until(t)
+            holders = {}
+            for agent in pool.machines.values():
+                if agent.claim is not None:
+                    key = (agent.claim.owner, agent.claim.job_id)
+                    holders.setdefault(key, []).append(agent.spec.name)
+            double_held += [(t, key, names) for key, names in holders.items() if len(names) > 1]
+        assert len(pool.completed_jobs()) == len(jobs)
+        return double_held
+
+    def test_no_job_is_held_by_two_machines(self):
+        assert self.run_pool() == []
+
+    @pytest.mark.parametrize("release_late_accepts", [False, True])
+    def test_obs_check_sees_the_double_hold(self, monkeypatch, release_late_accepts):
+        from repro import obs
+        from repro.obs.invariants import check_events
+
+        if not release_late_accepts:
+            # The code path before the fix: a response with no pending
+            # claim was dropped on the floor.
+            handle = CustomerAgent._on_claim_response
+
+            def drop_late(agent, response):
+                if response.match_id in agent._pending:
+                    handle(agent, response)
+
+            monkeypatch.setattr(CustomerAgent, "_on_claim_response", drop_late)
+        obs.reset()
+        obs.enable(events=True)
+        try:
+            self.run_pool()
+            events = list(obs.event_log.events())
+        finally:
+            obs.disable()
+            obs.reset()
+        report = check_events(events, require_complete=True)
+        held = [v for v in report.violations if v.invariant == "job-double-held"]
+        if release_late_accepts:
+            assert report.ok, report.render()
+        else:
+            assert [v.job for v in held] == ["alice.8"]  # match ids are process-wide
+            assert "machine 'm1' accepted" in held[0].detail
+            assert "machine 'm0' still held it" in held[0].detail
+
 
 class TestKillSwitchCheck:
     """CI's kill-switch negative check runs ``repro chaos cm-crash`` at

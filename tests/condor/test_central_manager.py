@@ -5,7 +5,7 @@ import pytest
 from repro.classads import ClassAd
 from repro.condor import Collector, Job, MachineSpec, Negotiator
 from repro.condor.machine import MachineAgent
-from repro.matchmaking import Accountant
+from repro.matchmaking import Accountant, select
 from repro.classads import fingerprint
 from repro.protocols import (
     VOLATILE_MACHINE_ATTRS,
@@ -136,6 +136,58 @@ class TestCollector:
         advertise(self.net, "machine.m0", machine_ad("m0"), sequence=3)
         self.sim.run_until(3.0)
         assert len(self.collector.store) == 1
+
+
+class TestViewsFromTheStoredKind:
+    """``machine_ads()`` and ``job_ads()`` read each record's kind; they
+    must list what the ``Type`` selections list, in the same order."""
+
+    def assert_views_are_the_selections(self, collector):
+        for view, kind in ((collector.machine_ads, "Machine"), (collector.job_ads, "Job")):
+            want = select(collector.store.ads(), f'Type == "{kind}"')
+            got = view()
+            assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+
+    def test_views_follow_refresh_expiry_and_crash(self):
+        sim = Simulator()
+        net = Network(sim, rng=RngStream(1), latency=0.01)
+        collector = Collector(sim, net, trace=Trace())
+        net.register("x", lambda message: None)
+        shouting = machine_ad("m1")
+        shouting["Type"] = "MACHINE"
+        numbered = machine_ad("m2")
+        numbered["Type"] = 3
+        advertise(net, "machine.m0", machine_ad("m0"), sequence=1)
+        advertise(net, "job.a.1", job_ad("alice", 1), sequence=2)
+        advertise(net, "machine.m1", shouting, lifetime=100.0, sequence=3)
+        advertise(net, "machine.m2", numbered, sequence=4)
+        sim.run_until(1.0)
+        untyped = machine_ad("m3")
+        del untyped["Type"]
+        collector.store.insert("machine.m3", untyped, now=1.0)
+        collector.store.insert("machine.m4", machine_ad("m4"), now=1.0)
+        assert len(collector.store) == 6
+        self.assert_views_are_the_selections(collector)
+        assert len(collector.machine_ads()) == 3 and len(collector.job_ads()) == 1
+
+        net.send(
+            Refresh(
+                sender="x", recipient="collector@cm", name="machine.m0", fingerprint=None,
+                lifetime=900.0, sequence=5, volatile=(("LoadAvg", 0.5),),
+            )
+        )
+        sim.run_until(2.0)
+        assert collector.store.get("machine.m0").evaluate("LoadAvg") == 0.5
+        self.assert_views_are_the_selections(collector)
+
+        sim.run_until(200.0)  # machine.m1's lease has run out
+        assert "machine.m1" not in collector.store
+        self.assert_views_are_the_selections(collector)
+        assert len(collector.machine_ads()) == 2
+
+        collector.crash()
+        self.assert_views_are_the_selections(collector)
+        assert collector.machine_ads() == [] and collector.job_ads() == []
 
 
 class TestRefreshCopies:

@@ -20,6 +20,7 @@ from repro import obs
 from repro.classads import ClassAd, fingerprint, parse, values_equal
 from repro.classads.serialize import dumps
 from repro.condor import Job, MachineSpec, MachineState
+from repro.condor import machine as machine_module
 from repro.condor.machine import MachineAgent, OwnerModel
 from repro.protocols import (
     VOLATILE_MACHINE_ATTRS,
@@ -28,6 +29,7 @@ from repro.protocols import (
     Refresh,
     ResendRequest,
     embed_ticket,
+    volatile_values,
 )
 from repro.sim import Network, RngStream, Simulator
 
@@ -281,6 +283,129 @@ class TestReuse:
         assert_builds_like_reference(h.agent)
         kinds = {entry[0] for entry in h.wire()}
         assert kinds == {"Advertisement", "Refresh"}
+
+
+# -- a key hit refreshes without comparing the ads ----------------------------
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace *module*.*name* by a wrapper; returns its call list."""
+    calls, real = [], getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def record_builds(agent):
+    """Wrap *agent*'s build_ad; returns the list of (ad, hit) it built."""
+    built, real = [], agent.build_ad
+
+    def recording():
+        ad = real()
+        built.append((ad, agent._refresh is not None))
+        return ad
+
+    agent.build_ad = recording
+    return built
+
+
+def refreshes(h):
+    """The Refreshes *h*'s agent sent, once each (not their blind copies)."""
+    firsts = {}
+    for message, payload, _fp in h.sent:
+        if payload is None:
+            firsts.setdefault(message.sequence, message)
+    return list(firsts.values())
+
+
+class TestKeyHit:
+    def test_idle_periods_build_once_and_never_compare(self, monkeypatch):
+        h = Harness()
+        h.sim.run_until(PERIOD + 1.0)
+        built = record_builds(h.agent)
+        compared = count_calls(monkeypatch, machine_module, "stable_equal")
+        extracted = count_calls(monkeypatch, machine_module, "volatile_values")
+        periods = 10
+        h.sim.run_until((periods + 1) * PERIOD + 1.0)
+        assert len(built) == periods and all(hit for _ad, hit in built)
+        assert compared == [] and extracted == []
+        assert len(refreshes(h)) == periods + 1
+
+    def test_an_expression_extra_is_compared_every_period(self, monkeypatch):
+        h = Harness()
+        h.agent.spec.extra_attrs["Busy"] = parse("LoadAvg > 0.3")
+        compared = count_calls(monkeypatch, machine_module, "stable_equal")
+        periods = 10
+        h.sim.run_until(periods * PERIOD + 1.0)
+        # The first ad goes out in full; every later one is a Refresh,
+        # each decided by comparing the ads.
+        assert len(compared) == periods
+        assert len(refreshes(h)) == periods
+        assert h.agent._refresh is None
+
+    def test_every_refresh_carries_the_values_of_the_ad_built(self):
+        h = Harness()
+        built = record_builds(h.agent)
+        checked = set()
+        send = h.net.send
+
+        def check(message):
+            if isinstance(message, Refresh) and message.sequence not in checked:
+                checked.add(message.sequence)
+                ad, _hit = built[-1]
+                assert message.volatile == volatile_values(ad, VOLATILE_MACHINE_ATTRS)
+            send(message)
+
+        h.net.send = check
+        for at, _label, action in SCRIPT:
+            h.sim.schedule_at(at, action, h)
+        h.sim.run_until(END)
+        assert len(checked) >= len(SCRIPT)
+        assert sum(hit for _ad, hit in built) >= len(SCRIPT)
+
+    def test_the_reference_agent_never_takes_the_hit_path(self, monkeypatch):
+        compared = count_calls(monkeypatch, machine_module, "stable_equal")
+        h = run_script(reference=True)
+        assert h.agent._refresh is None
+        assert len(compared) >= len(refreshes(h)) >= len(SCRIPT)
+
+
+class TestIdentityShortcut:
+    """``build_ad`` compares the key with the basis key by identity first.
+    That is exact except for a NaN, which a basis key holding one turns
+    off: values_equal then reads the NaN as a change every period."""
+
+    def test_an_unchanged_key_hits_by_identity(self, monkeypatch):
+        h = Harness()
+        h.sim.run_until(PERIOD + 1.0)
+        identity = count_calls(monkeypatch, machine_module, "is_")
+        compared = count_calls(monkeypatch, machine_module, "values_equal")
+        h.sim.run_until(11 * PERIOD + 1.0)
+        assert len(identity) == 10 * len(h.agent._key) and compared == []
+        assert len(refreshes(h)) == 11
+
+    def test_a_nan_mips_sends_a_full_ad_every_period(self, monkeypatch):
+        identity = count_calls(monkeypatch, machine_module, "is_")
+        compared = count_calls(monkeypatch, machine_module, "values_equal")
+        h = Harness()
+        h.agent.spec.mips = math.nan
+        h.sim.run_until(3000.0)
+        periods = int(3000.0 // PERIOD) + 1
+        assert {type(message) for message, _payload, _fp in h.sent} == {Advertisement}
+        assert len({message.sequence for message, _payload, _fp in h.sent}) == periods
+        assert identity == [] and len(compared) == periods - 1
+        assert h.agent._slot.basis[2] is True
+
+    def test_the_reference_agent_never_takes_the_shortcut(self, monkeypatch):
+        identity = count_calls(monkeypatch, machine_module, "is_")
+        run_script(reference=True)
+        assert identity == []
+        run_script(reference=False)
+        assert identity
 
 
 # -- equal keys mean equal stable content -------------------------------------

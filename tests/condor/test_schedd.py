@@ -10,6 +10,7 @@ from repro.protocols import (
     ClaimRequest,
     ClaimResponse,
     MatchNotification,
+    ReleaseNotice,
     Withdrawal,
 )
 from repro.sim import Network, PoolMetrics, RngStream, Simulator, Trace
@@ -181,6 +182,41 @@ class TestMatchHandling:
         )
         sim.run_until(11.0)
         assert job.state is JobState.IDLE  # not resurrected into RUNNING
+
+    def test_late_accept_is_released(self):
+        # The machine holds the claim it accepted; the customer has given
+        # up on it, so it must say so or the machine runs a job that may
+        # be re-matched elsewhere.
+        sim, net, ca, _, machine_inbox = make_schedd(claim_timeout=5.0)
+        job = Job(owner="alice", total_work=100)
+        ca.submit(job)
+        net.send(notify(ca, job, sim))
+        sim.run_until(10.0)  # timed out
+        for accepted in (True, False):
+            net.send(
+                ClaimResponse(
+                    sender="startd@m0", recipient=ca.address, match_id=5, accepted=accepted
+                )
+            )
+        sim.run_until(11.0)
+        releases = [m for m in machine_inbox if isinstance(m, ReleaseNotice)]
+        assert [(m.match_id, m.recipient) for m in releases] == [(5, "startd@m0")]
+
+    def test_duplicate_accept_of_the_active_claim_is_not_released(self):
+        sim, net, ca, _, machine_inbox = make_schedd()
+        job = Job(owner="alice", total_work=100)
+        ca.submit(job)
+        net.send(notify(ca, job, sim))
+        sim.run_until(1.0)
+        for _ in range(2):
+            net.send(
+                ClaimResponse(
+                    sender="startd@m0", recipient=ca.address, match_id=5, accepted=True
+                )
+            )
+        sim.run_until(2.0)
+        assert job.state is JobState.RUNNING
+        assert not [m for m in machine_inbox if isinstance(m, ReleaseNotice)]
 
 
 class TestCompletionAndEviction:
@@ -437,3 +473,4 @@ class TestRecoveryUnderLoss:
             assert job.state is JobState.IDLE
         finally:
             set_retries(None)
+

@@ -77,6 +77,34 @@ class TestSafety:
         ]
         assert check_events(events).ok
 
+    def test_job_double_held_by_machines_detected(self):
+        # m0's accept reached the customer too late; the job was matched
+        # again and m1 accepted it while m0 still held it.
+        events = [
+            ev(1, 0.0, "match-notified-customer", owner="alice", job=8, match=9),
+            machine_claim(2, 40.0, machine="m0", match=9, job=8),
+            ev(3, 60.0, "match-notified-customer", owner="alice", job=8, match=10),
+            machine_claim(4, 61.0, machine="m1", match=10, job=8),
+            ev(5, 61.0, "claim-accepted", owner="alice", job=8, match=10),
+        ]
+        report = check_events(events)
+        assert [v.invariant for v in report.violations] == ["job-double-held"]
+        assert report.violations[0].job == "alice.8"
+        assert report.violations[0].match == 10
+
+    def test_released_machine_claim_is_not_double_held(self):
+        events = [
+            ev(1, 0.0, "match-notified-customer", owner="alice", job=8, match=9),
+            machine_claim(2, 40.0, machine="m0", match=9, job=8),
+            ev(3, 45.0, "claim-released", machine="m0", job=8),
+            ev(4, 60.0, "match-notified-customer", owner="alice", job=8, match=10),
+            machine_claim(5, 61.0, machine="m1", match=10, job=8),
+            # Another owner's job with the same id is a different job.
+            ev(6, 62.0, "match-notified-customer", owner="bob", job=8, match=11),
+            machine_claim(7, 63.0, machine="m2", match=11, job=8),
+        ]
+        assert check_events(events).ok
+
     def test_double_completion_detected(self):
         events = [
             ev(1, 0.0, "job-submitted", owner="alice", job=1),

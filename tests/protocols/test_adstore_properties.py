@@ -7,14 +7,18 @@ from repro.classads import ClassAd
 from repro.protocols import AdStore
 
 names = st.sampled_from([f"m{i}" for i in range(5)])
+# Round values besides arbitrary floats, so that expiry times tie.
+steps = st.one_of(st.sampled_from([0.0, 5.0, 10.0]), st.floats(min_value=0, max_value=100))
+lifetimes = st.one_of(st.sampled_from([10.0, 20.0]), st.floats(min_value=1, max_value=50))
 ops = st.lists(
     st.one_of(
-        st.tuples(st.just("insert"), names, st.floats(min_value=0, max_value=100),
-                  st.floats(min_value=1, max_value=50), st.integers(min_value=0, max_value=20)),
-        st.tuples(st.just("touch"), names, st.floats(min_value=0, max_value=100),
-                  st.floats(min_value=1, max_value=50), st.integers(min_value=0, max_value=20)),
+        st.tuples(st.just("insert"), names, steps, lifetimes,
+                  st.integers(min_value=0, max_value=20)),
+        st.tuples(st.just("touch"), names, steps, lifetimes,
+                  st.integers(min_value=0, max_value=20)),
         st.tuples(st.just("remove"), names),
-        st.tuples(st.just("expire"), st.floats(min_value=0, max_value=200)),
+        st.tuples(st.just("expire"), st.one_of(steps, st.floats(min_value=0, max_value=200))),
+        st.tuples(st.just("clear")),
     ),
     max_size=40,
 )
@@ -52,13 +56,16 @@ def replay(operations):
             _, name = op
             assert store.remove(name) == (name in model)
             model.pop(name, None)
+        elif op[0] == "clear":
+            store.clear()
+            model.clear()
         else:
             _, dt = op
             now += dt
-            reaped = set(store.expire(now))
-            should_reap = {n for n, (exp, _) in model.items() if exp <= now}
-            assert reaped == should_reap
-            for name in should_reap:
+            # Reaped in (expires_at, name) order, ties broken by name.
+            due = sorted((exp, n) for n, (exp, _) in model.items() if exp <= now)
+            assert store.expire(now) == [n for _, n in due]
+            for _, name in due:
                 del model[name]
     return store, model, now
 
@@ -94,6 +101,29 @@ class TestAdStoreModel:
         compaction guard keeps it within a constant factor of the store."""
         store, model, now = replay(operations)
         assert len(store._expiry_heap) <= 4 * len(store._store) + 64
+
+    def test_renewals_at_a_constant_lifetime_queue_each_lease_once(self):
+        """A renewal that moves the expiry later pushes no heap entry:
+        100 leases renewed 49 times leave 100 entries, and the sweep
+        still reaps them at their last expiry, in name order."""
+        store = AdStore()
+        names = [f"m{i}" for i in range(100)]
+        for name in names:
+            store.insert(name, ClassAd({"Name": name}), now=0.0, lifetime=30.0)
+        for renewal in range(1, 50):
+            for name in names:
+                assert store.touch(name, now=10.0 * renewal, lifetime=30.0, sequence=renewal)
+        assert len(store._expiry_heap) == 100
+        assert store.expire(519.0) == []
+        assert store.expire(520.0) == sorted(names)
+        assert store._expiry_heap == []
+
+    def test_a_shorter_lease_is_queued_at_its_own_expiry(self):
+        store = AdStore()
+        store.insert("a", ClassAd({"Name": "a"}), now=0.0, lifetime=100.0)
+        store.touch("a", now=1.0, lifetime=5.0, sequence=1)
+        assert store.expire(5.0) == []
+        assert store.expire(6.0) == ["a"]
 
     @given(ops)
     @settings(max_examples=100, deadline=None)

@@ -1,5 +1,10 @@
 """Unit tests for the advertising protocol (S9)."""
 
+import dataclasses
+
+import pytest
+
+from repro import obs
 from repro.classads import ClassAd
 from repro.protocols import (
     VOLATILE_MACHINE_ATTRS,
@@ -11,6 +16,7 @@ from repro.protocols import (
     validate_ad,
 )
 from repro.protocols.advertising import classify
+from repro.sim import Network, RngStream, Simulator
 
 
 def valid_ad(**extra):
@@ -216,6 +222,66 @@ class TestAdvertiser:
             ("machine.m0", "collector@far"),
             ("machine.never", "collector@cm"),
         ]
+
+
+class TestRefreshMessage:
+    """``Refresh`` writes its instance dict in one go instead of through
+    the generated frozen ``__init__``; it must behave as before."""
+
+    FIELDS = dict(
+        sender="startd@m0", recipient="collector@cm", name="machine.m0", fingerprint="fp",
+        lifetime=180.0, sequence=7, volatile=(("LoadAvg", 0.5),),
+    )
+
+    def make(self, **changes):
+        return Refresh(**{**self.FIELDS, **changes})
+
+    def test_equality_hash_and_repr(self):
+        a = self.make()
+        assert a == self.make() and hash(a) == hash(self.make())
+        assert a == Refresh(*self.FIELDS.values())
+        assert a != self.make(sequence=8) and a != self.make(volatile=())
+        assert Refresh("s", "r", "n", "fp", 1.0, 1).volatile == ()
+        assert repr(a) == (
+            "Refresh(sender='startd@m0', recipient='collector@cm', ctx=None, "
+            "name='machine.m0', fingerprint='fp', lifetime=180.0, sequence=7, "
+            "volatile=(('LoadAvg', 0.5),))"
+        )
+
+    def test_frozen_replaceable_and_ctx_keyword_only(self):
+        a = self.make()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.sequence = 8
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.ctx = None
+        b = dataclasses.replace(a, sequence=8)
+        assert type(b) is Refresh and b == self.make(sequence=8) and a.sequence == 7
+        with pytest.raises(TypeError):
+            Refresh(*self.FIELDS.values(), None)
+        assert vars(a) == {**self.FIELDS, "ctx": None}
+
+    def test_the_network_injects_one_causal_context_per_object(self):
+        obs.reset()
+        obs.enable(causal=True)
+        try:
+            sim = Simulator()
+            net = Network(sim, rng=RngStream(1), latency=0.01)
+            got = []
+            net.register("collector@cm", got.append)
+            message = self.make()
+            with obs.causal_log.activate(obs.causal_log.start_trace("job.a.1", "job.submit")):
+                net.send(message)
+                net.send(message)  # a blind copy re-sends the same object
+            sim.run_until(1.0)
+            spans = list(obs.causal_log.spans())
+        finally:
+            obs.disable()
+            obs.reset()
+        assert got == [message, message]
+        (send,) = [s for s in spans if s.name == "send.Refresh"]
+        assert message.ctx.trace_id == "job.a.1" and message.ctx.span_id == send.span
+        recvs = [s for s in spans if s.name == "recv.Refresh"]
+        assert len(recvs) == 2 and all(r.parent == send.span for r in recvs)
 
 
 class TestStoredDerivedState:
