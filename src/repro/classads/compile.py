@@ -934,10 +934,17 @@ def evaluate_attribute(
     expr = ad._fields.get(canonical)
     if expr is None:
         return UNDEFINED
-    if type(expr) is Literal:
+    kind = type(expr)
+    if kind is Literal:
         if _metrics.enabled:
             _interp._note_evaluation(1)
         return expr.value
+    if kind is RecordExpr:
+        # What _build_record's code returns, without a memo entry per
+        # distinct record (every claim's AuthTicket is one).
+        if _metrics.enabled:
+            _interp._note_evaluation(1)
+        return ClassAd.from_record(expr)
     compiled = _compiled_for(ad, canonical, expr)
     if compiled is None or compiled.size > max_steps or compiled.depth >= max_depth:
         return _interp.evaluate_attribute(ad, name, other, max_steps, max_depth)

@@ -56,7 +56,7 @@ from .stream import FIELDS, INTEGER, NAME, NUMBER, RecordStream, StreamError, re
 EVENTS_SCHEMA = "repro-events/1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One recorded occurrence: a sequence number, a timestamp (simulated
     or wall-clock, whichever clock the log is on), a kind, and free-form
@@ -81,7 +81,8 @@ class EventLogError(StreamError):
 
 class KindQueries:
     """Lookups by ``kind`` over an iterable of events (the event log's
-    ring, a simulation :class:`~repro.sim.trace.Trace`'s list)."""
+    ring; a simulation :class:`~repro.sim.trace.Trace` answers the same
+    queries over its stored records)."""
 
     __slots__ = ()
 

@@ -19,6 +19,18 @@ of the unified event model** in :mod:`repro.obs.events`:
   simulated time.  While the global log is off the mirror is one
   boolean check: the fields are not even handed on.
 
+**Storage.**  Periodic ad renewals make a traced run emit one record per
+renewal, so a record is stored as what it records and no more: one flat
+tuple ``(time, kind, names, *values)``, where ``names`` is the
+field-name tuple shared by every record of that shape.  A tuple of
+atomic values leaves the garbage collector's lists at its first
+collection once its shape's name tuple has left them, which an event
+object never does.  Reads build the :class:`TraceEvent` — ``seq`` is the
+position plus one, and ``fields`` maps the names to the very value
+objects emitted, in emit order — and the kind queries (and
+:meth:`Trace.between`) test the stored kind or time first, so they build
+events only for what they return.
+
 New code should emit through :data:`repro.obs.event_log` directly;
 ``Trace`` remains the sim-local, always-unbounded view the experiments
 query.
@@ -26,9 +38,9 @@ query.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..obs.events import Event, KindQueries
+from ..obs.events import Event
 from ..obs import event_log as _global_log
 
 
@@ -46,36 +58,66 @@ class TraceEvent(Event):
         return f"[{self.time:10.3f}] {self.kind:<22} {details}"
 
 
-class Trace(KindQueries):
-    """Collects :class:`TraceEvent` records during a simulation run; the
-    kind queries (``of_kind``, ``count``, ``first``, ...) are the event
-    log's."""
+def _event(index: int, record: tuple) -> TraceEvent:
+    """The event stored as *record* at position *index*."""
+    return TraceEvent(index + 1, record[0], record[1], dict(zip(record[2], record[3:])))
+
+
+class Trace:
+    """Collects trace records during a simulation run and answers the
+    event log's kind queries (``of_kind``, ``count``, ``first``, ...)
+    over them."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.events: List[TraceEvent] = []
+        self._records: List[tuple] = []
+        self._shapes: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
     def emit(self, time: float, kind: str, **fields: Any) -> None:
         if self.enabled:
-            self.events.append(TraceEvent(len(self.events) + 1, time, kind, fields))
+            names = tuple(fields)
+            names = self._shapes.setdefault(names, names)
+            self._records.append((time, kind, names, *fields.values()))
         # Mirror into the forensic event log while it is on, so the repo
         # has one queryable event stream, not two.
         if _global_log.enabled:
             _global_log.emit(kind, t=time, **fields)
 
+    def of_kind(self, *kinds: str) -> List[TraceEvent]:
+        wanted = set(kinds)
+        return [_event(i, r) for i, r in enumerate(self._records) if r[1] in wanted]
+
+    def count(self, kind: str) -> int:
+        return sum(1 for r in self._records if r[1] == kind)
+
+    def first(self, kind: str) -> Optional[TraceEvent]:
+        return next((_event(i, r) for i, r in enumerate(self._records) if r[1] == kind), None)
+
+    def last(self, kind: str) -> Optional[TraceEvent]:
+        records = self._records
+        for i in range(len(records) - 1, -1, -1):
+            if records[i][1] == kind:
+                return _event(i, records[i])
+        return None
+
+    def kinds(self) -> List[str]:
+        """Distinct kinds in first-appearance order."""
+        return list(dict.fromkeys(r[1] for r in self._records))
+
     def between(self, start: float, end: float) -> List[TraceEvent]:
-        return [e for e in self.events if start <= e.time <= end]
+        return [_event(i, r) for i, r in enumerate(self._records) if start <= r[0] <= end]
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._records)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
+        return (_event(i, r) for i, r in enumerate(self._records))
 
     def __reversed__(self) -> Iterator[TraceEvent]:
-        return reversed(self.events)
+        records = self._records
+        return (_event(i, records[i]) for i in range(len(records) - 1, -1, -1))
 
     def render(self, limit: Optional[int] = None) -> str:
         """Human-readable transcript (the Figure 3 walk-through)."""
-        events = self.events if limit is None else self.events[:limit]
-        return "\n".join(str(e) for e in events)
+        records = self._records if limit is None else self._records[:limit]
+        return "\n".join(str(_event(i, r)) for i, r in enumerate(records))

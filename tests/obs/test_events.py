@@ -1,5 +1,6 @@
 """Unit tests for the structured negotiation event log (repro-events/1)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -91,6 +92,26 @@ class TestEventLog:
         assert "a" in log.render(limit=1) or "b" in log.render(limit=1)
 
 
+class TestEventShape:
+    def test_events_carry_no_instance_dict(self):
+        from repro.sim import TraceEvent
+
+        for event in (Event(1, 2.0, "a", {"x": 1}), TraceEvent(1, 2.0, "a", {"x": 1})):
+            assert not hasattr(event, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                event.seq = 2
+
+    def test_to_dict_and_replace(self):
+        from repro.sim import TraceEvent
+
+        event = Event(3, 1.5, "match.made", {"job": 7})
+        assert event.to_dict() == {"seq": 3, "t": 1.5, "kind": "match.made", "fields": {"job": 7}}
+        moved = dataclasses.replace(event, seq=4)
+        assert moved == Event(4, 1.5, "match.made", {"job": 7}) and moved.fields is event.fields
+        traced = dataclasses.replace(TraceEvent(1, 2.0, "a", {}), t=3.0)
+        assert type(traced) is TraceEvent and traced.time == 3.0
+
+
 class TestJsonlRoundTrip:
     def test_file_sink_round_trip(self, log, tmp_path):
         path = str(tmp_path / "events.jsonl")
@@ -99,6 +120,7 @@ class TestJsonlRoundTrip:
         log.emit("match.reject", t=1.5, job=7, conjunct='other.Arch == "VAX"')
         log.close_file()
         events = read_jsonl(path)
+        assert events == log.events()
         assert [e.kind for e in events] == ["cycle.begin", "match.reject"]
         assert events[1].fields["job"] == 7
         assert events[1].fields["conjunct"] == 'other.Arch == "VAX"'

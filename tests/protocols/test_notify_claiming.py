@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.classads import ClassAd
+from repro.classads import ClassAd, RecordExpr
+from repro.classads import compile as compile_mod
+from repro.classads import evaluator
 from repro.protocols import (
     ClaimRequest,
     ClaimVerdict,
@@ -61,6 +63,29 @@ class TestTicketEmbedding:
         ad = provider_ad()
         ad["AuthTicket"] = {"Issuer": "x"}  # missing fields
         assert ticket_from_ad(ad) is None
+
+    def test_ticket_record_reads_as_the_interpreter_reads_it(self):
+        ad = provider_ad()
+        embed_ticket(ad, TicketAuthority("leonardo", b"secret").mint())
+        record = ad.evaluate("AuthTicket")
+        assert isinstance(record, ClassAd)
+        assert record == evaluator.evaluate_attribute(ad, "AuthTicket")
+        # A record constructor yields a fresh ad on every read.
+        assert ad.evaluate("AuthTicket") is not record
+
+    def test_claims_leave_no_ticket_in_the_compile_memo(self, monkeypatch):
+        from repro.condor import CondorPool, Job, MachineSpec, PoolConfig
+
+        monkeypatch.setattr(compile_mod, "_MEMO", {})
+        pool = CondorPool(
+            [MachineSpec(name=f"m{i}") for i in range(4)],
+            PoolConfig(seed=7, advertise_interval=120.0, negotiation_interval=120.0),
+        )
+        for _ in range(6):
+            pool.submit(Job(owner="alice", total_work=500.0))
+        pool.run_until(5_000.0)
+        assert pool.metrics.jobs_completed == 6
+        assert not [key for key in compile_mod._MEMO if isinstance(key[0], RecordExpr)]
 
 
 class TestNotifications:
