@@ -254,7 +254,7 @@ def _measure_overhead(n_machines, n_requests, repeats):
         matched = len(assignments)
         best["off"] = min(best["off"], off_elapsed)
 
-        obs.enable()  # metrics on, span tracing and events off
+        obs.enable()  # metrics on, the recorded streams off
         _, elapsed, _ = run_cycle(providers, requests, True, batch=False)
         best["metrics"] = min(best["metrics"], elapsed)
         # Overhead is judged per repeat against the adjacent baseline
@@ -397,7 +397,7 @@ def run_smoke(out_dir=None, machines=500, requests=100, repeats=5):
     Returns the written BENCH_*.json path.  Two overhead figures compare
     the same indexed negotiation cycle against the all-off baseline:
 
-    * metrics enabled (span tracing stays off, as in a production pool);
+    * metrics enabled (the recorded streams stay off, as in a production pool);
     * the forensic event log enabled, ring sink only.
 
     The acceptance bar for each is <= 5%.  A recorded ``events.jsonl``

@@ -22,7 +22,7 @@ from typing import List, Optional
 from ..matchmaking import Accountant, Assignment, CycleStats, negotiation_cycle
 from ..matchmaking.index import ProviderIndex
 from ..matchmaking.match import DEFAULT_POLICY, MatchPolicy
-from ..obs import metrics as _metrics, tracer as _tracer
+from ..obs import metrics as _metrics
 from ..obs.causal import causal_log as _causal
 from ..protocols import BackoffPolicy, Retransmitter, build_notifications
 from ..sim import Network, Simulator, Trace
@@ -108,19 +108,15 @@ class Negotiator:
             providers = self.collector.machine_ads()
         requests = self.collector.job_ads_by_owner()
         stats = CycleStats()
-        with _tracer.span(
-            "negotiator_cycle", now=self.sim.now, providers=len(providers)
-        ) as span:
-            assignments = negotiation_cycle(
-                requests,
-                providers,
-                accountant=self.accountant,
-                policy=self.policy,
-                allow_preemption=self.allow_preemption,
-                index=index,
-                stats=stats,
-            )
-            span.annotate(matched=len(assignments))
+        assignments = negotiation_cycle(
+            requests,
+            providers,
+            accountant=self.accountant,
+            policy=self.policy,
+            allow_preemption=self.allow_preemption,
+            index=index,
+            stats=stats,
+        )
         if _metrics.enabled:
             _NEG_CYCLES.inc()
             _NEG_MATCHES.inc(len(assignments))

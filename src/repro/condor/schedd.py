@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..classads import values_equal
-from ..obs import metrics as _metrics, tracer as _tracer
+from ..obs import metrics as _metrics
 from ..obs.causal import TraceContext, causal_log as _causal, job_trace_id
 from ..protocols import (
     VOLATILE_JOB_ATTRS,
@@ -457,7 +457,6 @@ class CustomerAgent:
         self._pending_jobs.add(job.job_id)
         self.metrics.claims_attempted += 1
         _CA_CLAIMS.inc()
-        _tracer.event("claim_requested", owner=self.owner, job=job.job_id)
         self.trace.emit(
             self.sim.now, "claim-request", owner=self.owner, job=job.job_id,
             machine=provider_name,

@@ -175,8 +175,9 @@ def extract_predicates(constraint: Expr, customer: ClassAd) -> List[Predicate]:
 _INTERNED: Dict[object, int] = {}
 _INTERN_LIMIT = 512
 _INTERN_IDS = itertools.count()
-#: interned expression -> (its ``external_references``, its :func:`_comparisons`)
-_FACTS: Dict[int, Tuple[frozenset, Mapping[str, Optional[Tuple]]]] = {}
+#: interned expression -> (its ``external_references`` in :func:`_ref_order`,
+#: its :func:`_comparisons`)
+_FACTS: Dict[int, Tuple[Tuple, Mapping[str, Optional[Tuple]]]] = {}
 #: interned fixed part of a self key -> its literal names with their atoms
 #: (a function of the closure the fixed part describes and of its roots)
 _LITERALS: Dict[int, Tuple[Tuple[str, Optional[Tuple]], ...]] = {}
@@ -226,21 +227,32 @@ def _comparisons(expr: Expr) -> Dict[str, Optional[Tuple]]:
     return {name: None if atoms is None else tuple(atoms) for name, atoms in found.items()}
 
 
-#: ``id(expr)`` -> (expr, interned structural id, external references,
-#: comparisons): identity first, because agents bind one parsed policy
-#: object into every ad they rebuild.  The entry holds the expression (so
+#: ``id(expr)`` -> (expr, interned structural id, ordered external
+#: references, comparisons): identity first, because agents bind one
+#: parsed policy object into every ad they rebuild.  The entry holds the expression (so
 #: the id stays its own) and is checked with ``is``.
-_EXPR_FACTS: Dict[int, Tuple[Expr, int, frozenset, Mapping[str, Optional[Tuple]]]] = {}
+_EXPR_FACTS: Dict[int, Tuple[Expr, int, Tuple, Mapping[str, Optional[Tuple]]]] = {}
 _EXPR_FACTS_LIMIT = 512
 
 
-def _expr_facts(expr: Expr) -> Tuple[Expr, int, frozenset, Mapping[str, Optional[Tuple]]]:
+def _ref_order(ref: Tuple[Optional[str], str]) -> Tuple[str, str]:
+    """Sort key for a ``(scope, name)`` reference that hashes nothing.
+    A set's order over bare ``(None, name)`` refs follows ``hash(None)``,
+    which before CPython 3.12 is ``None``'s address and moves from
+    process to process (``PYTHONHASHSEED`` does not pin it); the shape
+    walk's visit order, and so which memo entries survive an overflow,
+    would move with it."""
+    return (ref[0] or "", ref[1])
+
+
+def _expr_facts(expr: Expr) -> Tuple[Expr, int, Tuple, Mapping[str, Optional[Tuple]]]:
     entry = _EXPR_FACTS.get(id(expr))
     if entry is None or entry[0] is not expr:
         ident = _intern(structural_key(expr))
         facts = _FACTS.get(ident)
         if facts is None:
-            facts = _FACTS[ident] = (frozenset(external_references(expr)), _comparisons(expr))
+            refs = tuple(sorted(external_references(expr), key=_ref_order))
+            facts = _FACTS[ident] = (refs, _comparisons(expr))
         if len(_EXPR_FACTS) >= _EXPR_FACTS_LIMIT:
             _EXPR_FACTS.clear()
         entry = _EXPR_FACTS[id(expr)] = (expr, ident, *facts)

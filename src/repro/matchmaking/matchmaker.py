@@ -63,7 +63,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from ..classads import ClassAd
 from ..classads.ast import Literal
 from ..classads.compile import cache_hits_total as _compiled_cache_hits
-from ..obs import event_log as _events, metrics as _metrics, tracer as _tracer
+from ..obs import event_log as _events, metrics as _metrics
 from .accounting import Accountant
 from .diagnose import attribute_failure
 from .groups import _Shape, _self_keys, _view_key
@@ -648,13 +648,9 @@ def _batched_try_match(cycle: _Cycle, table: _ClassTable, submitter: str,
 def _try_match(cycle: _Cycle, table: Optional[_ClassTable], submitter: str,
                request: ClassAd) -> bool:
     """Serve one request: through the class engine, or — no *table* — the oracle."""
-    with _tracer.span("try_match", submitter=submitter) as span:
-        if table is None:
-            matched = _naive_try_match(cycle, submitter, request)
-        else:
-            matched = _batched_try_match(cycle, table, submitter, request)
-        span.annotate(matched=matched)
-        return matched
+    if table is None:
+        return _naive_try_match(cycle, submitter, request)
+    return _batched_try_match(cycle, table, submitter, request)
 
 
 def _publish(cycle: _Cycle, base: CycleStats, base_cache_hits: int, start: float) -> None:
@@ -784,36 +780,24 @@ def negotiation_cycle(
                     share=shares[s],
                 )
 
-    with _tracer.span(
-        "negotiation_cycle",
-        submitters=len(submitters),
-        providers=len(providers),
-        indexed=index is not None,
-    ) as cycle_span:
-        leftovers: List[Tuple[str, List[ClassAd]]] = []
-        for submitter in submitters:
-            stats.submitters_considered += 1
-            quota = quotas.get(submitter)
-            served = 0
-            remaining: List[ClassAd] = []
-            with _tracer.span("submitter", submitter=submitter) as submitter_span:
-                for position, request in enumerate(requests_by_submitter[submitter]):
-                    if quota is not None and served >= quota:
-                        remaining = list(requests_by_submitter[submitter][position:])
-                        break
-                    if _try_match(cycle, table, submitter, request):
-                        served += 1
-                submitter_span.annotate(served=served)
-            if remaining:
-                leftovers.append((submitter, remaining))
+    leftovers: List[Tuple[str, List[ClassAd]]] = []
+    for submitter in submitters:
+        stats.submitters_considered += 1
+        quota = quotas.get(submitter)
+        served = 0
+        queue = requests_by_submitter[submitter]
+        for position, request in enumerate(queue):
+            if quota is not None and served >= quota:
+                leftovers.append((submitter, list(queue[position:])))
+                break
+            if _try_match(cycle, table, submitter, request):
+                served += 1
 
-        # Spin the pie: hand unused capacity to still-hungry submitters in
-        # priority order, unrestricted.
-        with _tracer.span("spin_pie", submitters=len(leftovers)):
-            for submitter, requests in leftovers:
-                for request in requests:
-                    _try_match(cycle, table, submitter, request)
-        cycle_span.annotate(matched=stats.matched, preemptions=stats.preemptions)
+    # Spin the pie: hand unused capacity to still-hungry submitters in
+    # priority order, unrestricted.
+    for submitter, requests in leftovers:
+        for request in requests:
+            _try_match(cycle, table, submitter, request)
 
     _publish(cycle, base, base_cache_hits, start)
     return cycle.assignments

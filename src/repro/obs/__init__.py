@@ -1,17 +1,16 @@
-"""repro.obs — the observability layer (metrics, tracing, exporters).
+"""repro.obs — the observability layer (metrics, recorded streams, exporters).
 
 "Turning Cluster Management into Data Management" (Robinson & DeWitt)
 argues Condor-style pool state should itself be queryable data; this
 package applies that to the reproduction.  Every negotiation cycle,
 claim, eviction, and ad-store transition is counted or traced here and
-exported as machine-readable JSON (the ``repro-obs/1`` schema; see
-docs/OBSERVABILITY.md for the metric catalogue and span taxonomy).
+exported as machine-readable JSON (the ``repro-obs/2`` schema; see
+docs/OBSERVABILITY.md for the metric catalogue).
 
-Three process-wide singletons carry all instrumentation:
+Four process-wide singletons carry all instrumentation:
 
 * :data:`metrics` — the global :class:`MetricsRegistry`; instrumented
   modules declare their counters against it at import time;
-* :data:`tracer` — the global :class:`Tracer` for nested spans;
 * :data:`event_log` — the global :class:`EventLog`, the structured
   negotiation-forensics stream (``repro-events/1``; read back with the
   ``repro obs`` CLI family);
@@ -32,7 +31,6 @@ them on programmatically::
 
     from repro import obs
     obs.enable()                  # metrics only
-    obs.enable(trace=True)        # metrics + spans
     obs.enable(events=True)       # metrics + the forensic event log
     obs.event_log.open_file("events.jsonl")   # optional JSONL sink
     ... run ...
@@ -40,8 +38,7 @@ them on programmatically::
     obs.disable(); obs.reset()
 
 or from the environment before the process starts: ``REPRO_OBS=1``
-enables metrics, ``REPRO_OBS_TRACE=1`` additionally enables spans,
-``REPRO_OBS_EVENTS=1`` additionally enables the event log,
+enables metrics, ``REPRO_OBS_EVENTS=1`` additionally enables the event log,
 ``REPRO_OBS_CAUSAL=1`` the causal trace stream, and
 ``REPRO_OBS_SERIES=1`` the pool time series.
 
@@ -67,15 +64,11 @@ from .invariants import InvariantReport, Violation, check_events
 from .registry import Counter, Gauge, Histogram, MetricsRegistry, RunningStats
 from .stream import RecordStream, StreamError
 from .timeseries import SERIES_SCHEMA, Sample, SeriesError, SeriesStore, series
-from .tracer import NULL_SPAN, Span, Tracer
 
 #: The process-wide metrics registry.  Modules register metrics against
 #: it at import time; the registry survives enable/disable/reset cycles
 #: so those references never go stale.
 metrics = MetricsRegistry(enabled=env_flag("REPRO_OBS"))
-
-#: The process-wide span tracer.
-tracer = Tracer(enabled=env_flag("REPRO_OBS_TRACE"))
 
 if env_flag("REPRO_OBS_EVENTS"):
     event_log.enable()
@@ -88,16 +81,13 @@ if env_flag("REPRO_OBS_SERIES"):
 
 
 def enable(
-    trace: bool = False,
     events: bool = False,
     causal: bool = False,
     timeseries: bool = False,
 ) -> None:
-    """Turn on global metrics collection (and optionally spans/events/
-    causal traces/the pool time series)."""
+    """Turn on global metrics collection (and optionally the event log,
+    the causal trace stream and the pool time series)."""
     metrics.enable()
-    if trace:
-        tracer.enable()
     if events:
         event_log.enable()
     if causal:
@@ -109,7 +99,6 @@ def enable(
 def disable() -> None:
     """Turn off all global collection (recorded data is kept)."""
     metrics.disable()
-    tracer.disable()
     event_log.disable()
     causal_log.disable()
     series.disable()
@@ -120,9 +109,8 @@ def is_enabled() -> bool:
 
 
 def reset() -> None:
-    """Zero all global metrics and drop all recorded spans/events."""
+    """Zero all global metrics and drop all recorded streams."""
     metrics.reset()
-    tracer.reset()
     event_log.reset()
     causal_log.reset()
     series.reset()
@@ -139,20 +127,17 @@ __all__ = [
     "Histogram",
     "InvariantReport",
     "MetricsRegistry",
-    "NULL_SPAN",
     "RecordStream",
     "RunningStats",
     "SERIES_SCHEMA",
     "Sample",
     "SeriesError",
     "SeriesStore",
-    "Span",
     "SpanRecord",
     "StreamError",
     "TRACE_SCHEMA",
     "TraceContext",
     "TraceError",
-    "Tracer",
     "Violation",
     "causal_log",
     "check_events",
@@ -165,5 +150,4 @@ __all__ = [
     "metrics",
     "reset",
     "series",
-    "tracer",
 ]

@@ -1,9 +1,8 @@
 """Cross-daemon causal tracing — the ``repro-trace/1`` stream.
 
-The in-process :mod:`repro.obs.tracer` answers "where did the
-wall-clock go inside one call stack"; this module answers "*what chain
-of messages* got job 17 from submit to completion" — causality across
-daemon boundaries, in the style of Dapper/X-Trace but deterministic.
+This module answers "*what chain of messages* got job 17 from submit
+to completion" — causality across daemon boundaries, in the style of
+Dapper/X-Trace but deterministic.
 
 Mechanics:
 

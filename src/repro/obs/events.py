@@ -1,7 +1,6 @@
 """Structured negotiation event log — the forensic half of the layer.
 
-Where :mod:`repro.obs.registry` answers "how many rejections?" and
-:mod:`repro.obs.tracer` answers "where did the wall-clock go?", this
+Where :mod:`repro.obs.registry` answers "how many rejections?", this
 module answers "*why* did job 17 not match in cycle 42?" — the Section 5
 diagnostic question, captured live instead of reconstructed offline.
 

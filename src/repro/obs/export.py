@@ -1,12 +1,10 @@
-"""Exporters: render a registry + tracer as JSON or human text.
+"""Exporters: render a metrics registry as JSON or human text.
 
-The wire format is the ``repro-obs/1`` schema (docs/OBSERVABILITY.md)::
+The wire format is the ``repro-obs/2`` schema (docs/OBSERVABILITY.md)::
 
     {
-      "schema": "repro-obs/1",
-      "metrics": [ {"name", "kind", "description", "samples": [...]}, ... ],
-      "spans":   [ {"span", "index", "parent", "depth", "duration_s", "fields"}, ... ],
-      "events":  [ {"event", "parent", "fields"}, ... ]
+      "schema": "repro-obs/2",
+      "metrics": [ {"name", "kind", "description", "samples": [...]}, ... ]
     }
 
 Counters/gauges sample ``value`` as a number; histogram samples carry a
@@ -21,55 +19,42 @@ import sys
 from typing import Any, Dict, Optional, TextIO
 
 from .registry import MetricsRegistry
-from .tracer import Tracer
 
-OBS_SCHEMA = "repro-obs/1"
+OBS_SCHEMA = "repro-obs/2"
 
 
 def snapshot(
     registry: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
     prefix: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """The full observability state as one JSON-compatible dict."""
-    from . import metrics as global_metrics, tracer as global_tracer
+    """The full metrics state as one JSON-compatible dict."""
+    from . import metrics as global_metrics
 
     registry = registry if registry is not None else global_metrics
-    tracer = tracer if tracer is not None else global_tracer
-    return {
-        "schema": OBS_SCHEMA,
-        "metrics": registry.snapshot(prefix),
-        "spans": tracer.to_dicts(),
-        "events": list(tracer.events),
-    }
+    return {"schema": OBS_SCHEMA, "metrics": registry.snapshot(prefix)}
 
 
 def write_json(
     path: str,
     registry: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
     indent: int = 2,
 ) -> str:
     """Persist :func:`snapshot` to *path*; returns the path."""
     with open(path, "w") as handle:
-        json.dump(snapshot(registry, tracer), handle, indent=indent, sort_keys=True)
+        json.dump(snapshot(registry), handle, indent=indent, sort_keys=True)
         handle.write("\n")
     return path
 
 
 def dump(
     registry: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
     stream: Optional[TextIO] = None,
     prefix: Optional[str] = None,
 ) -> None:
     """Human-readable dump to *stream* (default stderr)."""
     stream = stream if stream is not None else sys.stderr
-    snap = snapshot(registry, tracer, prefix)
     stream.write("== metrics ==\n")
-    for metric in snap["metrics"]:
-        if not metric["samples"]:
-            continue
+    for metric in snapshot(registry, prefix)["metrics"]:
         for sample in metric["samples"]:
             labels = ",".join(f"{k}={v}" for k, v in sample["labels"].items())
             suffix = f"{{{labels}}}" if labels else ""
@@ -82,13 +67,3 @@ def dump(
             else:
                 rendered = f"{value:g}" if isinstance(value, float) else str(value)
             stream.write(f"{metric['name']}{suffix} {rendered}\n")
-    if snap["spans"]:
-        tracer = tracer if tracer is not None else _global_tracer()
-        stream.write("== spans ==\n")
-        stream.write(tracer.render() + "\n")
-
-
-def _global_tracer() -> Tracer:
-    from . import tracer as global_tracer
-
-    return global_tracer

@@ -17,7 +17,7 @@ Design constraints, in order of importance:
    dispatches millions of events; instrumentation must be free until
    someone turns it on.
 2. **Machine readable.**  :meth:`MetricsRegistry.snapshot` renders the
-   whole registry as plain JSON-compatible data (the ``repro-obs/1``
+   whole registry as plain JSON-compatible data (the ``repro-obs/2``
    schema, see docs/OBSERVABILITY.md); exporters only serialize.
 3. **Import-cycle free.**  This module sits below every other package
    (classads, sim, condor all import it), so it imports nothing from

@@ -20,7 +20,7 @@ from typing import Optional
 
 from ..classads import ClassAd
 from ..matchmaking.match import DEFAULT_POLICY, MatchPolicy, constraints_satisfied
-from ..obs import event_log as _events, metrics as _metrics, tracer as _tracer
+from ..obs import event_log as _events, metrics as _metrics
 from .messages import ClaimRequest, ClaimResponse
 from .tickets import Ticket, TicketAuthority
 
@@ -70,16 +70,14 @@ def verify_claim(
     match time the closures are already cached, and a state update
     invalidates exactly the rebound attribute's code.
     """
-    with _tracer.span("claim") as span:
-        if already_claimed:
-            verdict = ClaimVerdict.ALREADY_CLAIMED
-        elif authority is not None and not authority.validate(presented_ticket):
-            verdict = ClaimVerdict.BAD_TICKET
-        elif not constraints_satisfied(request_ad, current_resource_ad, policy):
-            verdict = ClaimVerdict.CONSTRAINT_VIOLATED
-        else:
-            verdict = ClaimVerdict.ACCEPTED
-        span.annotate(verdict=verdict.value)
+    if already_claimed:
+        verdict = ClaimVerdict.ALREADY_CLAIMED
+    elif authority is not None and not authority.validate(presented_ticket):
+        verdict = ClaimVerdict.BAD_TICKET
+    elif not constraints_satisfied(request_ad, current_resource_ad, policy):
+        verdict = ClaimVerdict.CONSTRAINT_VIOLATED
+    else:
+        verdict = ClaimVerdict.ACCEPTED
     _CLAIM_VERDICTS.inc(verdict=verdict.value)
     if _events.enabled:
         job_id = request_ad.evaluate("JobId")

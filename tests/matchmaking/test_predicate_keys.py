@@ -372,3 +372,52 @@ class TestPurityGuard:
             assignments, _ = run_cycle(providers, grouped, batch=True, use_index=False)
             outcomes.append(assignment_key(assignments))
         assert len(outcomes[0]) == 6 and len(outcomes[1]) == 2
+
+
+class TestShapeWalkOrder:
+    """The shape walk visits a closure's names in an order fixed by the
+    expressions alone — not by set iteration, which over bare
+    ``(None, name)`` refs follows ``hash(None)`` and so can change from one
+    process to the next."""
+
+    def test_expression_refs_are_a_tuple_in_canonical_order(self):
+        expr = parse(
+            "other.Memory >= self.Memory && Arch == \"INTEL\" && Disk > other.Disk"
+            " && self.Zeta < Alpha"
+        )
+        assert groups._expr_facts(expr)[2] == (
+            (None, "alpha"), (None, "arch"), (None, "disk"),
+            ("other", "disk"), ("other", "memory"),
+            ("self", "memory"), ("self", "zeta"),
+        )
+
+    def test_walk_does_not_follow_the_reference_sets_order(self, monkeypatch):
+        from repro.paper import figure1_machine
+
+        ad = figure1_machine()
+        real_facts = groups._expr_facts
+        real_refs = groups.external_references
+
+        def walk():
+            groups._EXPR_FACTS.clear()
+            groups._FACTS.clear()
+            visited = []
+
+            def recording(expr):
+                visited.append(expr)
+                return real_facts(expr)
+
+            monkeypatch.setattr(groups, "_expr_facts", recording)
+            shape = groups._walk_shape(ad, DEFAULT_POLICY, ())
+            monkeypatch.setattr(groups, "_expr_facts", real_facts)
+            return visited, shape
+
+        visited, shape = walk()
+        monkeypatch.setattr(
+            groups, "external_references",
+            lambda expr: list(reversed(sorted(real_refs(expr), key=groups._ref_order))),
+        )
+        reversed_visited, reversed_shape = walk()
+        assert len(visited) >= 4  # Constraint, Rank and the lists they read
+        assert [id(e) for e in reversed_visited] == [id(e) for e in visited]
+        assert reversed_shape == shape

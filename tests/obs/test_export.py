@@ -6,35 +6,28 @@ import json
 import pytest
 
 from repro import obs
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry
 from repro.obs.export import OBS_SCHEMA, dump, snapshot, write_json
 
 
 @pytest.fixture
 def populated():
     registry = MetricsRegistry(enabled=True)
-    tracer = Tracer(enabled=True)
     registry.counter("matchmaker.matched", "matches made").inc(3)
     registry.counter("claims.verified").inc(verdict="accepted")
     registry.histogram("matchmaker.cycle_seconds").observe(0.25)
     registry.gauge("collector.store_size").set(12)
-    with tracer.span("negotiation_cycle", submitters=2):
-        with tracer.span("try_match") as span:
-            span.annotate(matched=True)
-        tracer.event("claim_requested", job=1)
-    return registry, tracer
+    return registry
 
 
 class TestSnapshotSchema:
     def test_top_level_shape(self, populated):
-        registry, tracer = populated
-        snap = snapshot(registry, tracer)
-        assert snap["schema"] == OBS_SCHEMA == "repro-obs/1"
-        assert set(snap) == {"schema", "metrics", "spans", "events"}
+        snap = snapshot(populated)
+        assert snap["schema"] == OBS_SCHEMA == "repro-obs/2"
+        assert set(snap) == {"schema", "metrics"}
 
     def test_metrics_section(self, populated):
-        registry, tracer = populated
-        snap = snapshot(registry, tracer)
+        snap = snapshot(populated)
         by_name = {m["name"]: m for m in snap["metrics"]}
         assert by_name["matchmaker.matched"]["kind"] == "counter"
         assert by_name["matchmaker.matched"]["samples"][0]["value"] == 3
@@ -46,47 +39,34 @@ class TestSnapshotSchema:
         assert hist["samples"][0]["value"]["count"] == 1
         assert by_name["collector.store_size"]["kind"] == "gauge"
 
-    def test_spans_and_events_sections(self, populated):
-        registry, tracer = populated
-        snap = snapshot(registry, tracer)
-        assert [s["span"] for s in snap["spans"]] == [
-            "negotiation_cycle",
-            "try_match",
-        ]
-        assert snap["spans"][1]["parent"] == 0
-        assert snap["events"][0]["event"] == "claim_requested"
-
     def test_snapshot_is_json_serializable(self, populated):
-        registry, tracer = populated
-        text = json.dumps(snapshot(registry, tracer))
-        assert json.loads(text)["schema"] == "repro-obs/1"
+        text = json.dumps(snapshot(populated))
+        assert json.loads(text)["schema"] == "repro-obs/2"
 
     def test_prefix_filters_metrics(self, populated):
-        registry, tracer = populated
-        snap = snapshot(registry, tracer, prefix="matchmaker.")
+        snap = snapshot(populated, prefix="matchmaker.")
         names = [m["name"] for m in snap["metrics"]]
         assert names == ["matchmaker.cycle_seconds", "matchmaker.matched"]
 
 
 class TestWriteJson:
     def test_round_trip_via_file(self, populated, tmp_path):
-        registry, tracer = populated
-        path = write_json(str(tmp_path / "obs.json"), registry, tracer)
+        path = write_json(str(tmp_path / "obs.json"), populated)
         with open(path) as handle:
             snap = json.load(handle)
-        assert snap["schema"] == "repro-obs/1"
-        assert len(snap["spans"]) == 2
+        assert snap == json.loads(json.dumps(snapshot(populated)))
+        assert set(snap) == {"schema", "metrics"}
 
 
 class TestDump:
     def test_human_dump_renders_values(self, populated):
-        registry, tracer = populated
         stream = io.StringIO()
-        dump(registry, tracer, stream=stream)
+        dump(populated, stream=stream)
         text = stream.getvalue()
+        assert text.startswith("== metrics ==\n")
         assert "matchmaker.matched 3" in text
         assert "claims.verified{verdict=accepted} 1" in text
-        assert "negotiation_cycle" in text
+        assert "== spans ==" not in text
 
 
 class TestGlobalSingletons:
@@ -104,27 +84,25 @@ class TestGlobalSingletons:
         assert not obs.is_enabled()
 
     def test_enable_records_and_snapshot_sees_it(self):
-        obs.enable(trace=True)
+        obs.enable()
         obs.metrics.counter("test.only").inc(2)
-        with obs.tracer.span("test_span"):
-            pass
         snap = snapshot()
         by_name = {m["name"]: m for m in snap["metrics"]}
         assert by_name["test.only"]["samples"][0]["value"] == 2
-        assert any(s["span"] == "test_span" for s in snap["spans"])
+        assert set(snap) == {"schema", "metrics"}
 
     def test_enable_without_trace_leaves_spans_off(self):
         obs.enable()
         assert obs.metrics.enabled
-        assert not obs.tracer.enabled
+        assert not obs.causal_log.enabled
+        assert not (obs.event_log.enabled or obs.series.enabled)
 
     def test_reset_clears_recorded_state(self):
-        obs.enable(trace=True)
+        obs.enable(events=True)
         obs.metrics.counter("test.only").inc()
-        with obs.tracer.span("s"):
-            pass
+        obs.event_log.emit("test.event")
         obs.reset()
         snap = snapshot()
         by_name = {m["name"]: m for m in snap["metrics"]}
         assert by_name["test.only"]["samples"] == []
-        assert snap["spans"] == []
+        assert len(obs.event_log) == 0

@@ -1,8 +1,8 @@
 """Integration: the instrumented subsystems actually report through obs.
 
-Each test enables the global registry/tracer, drives a real code path
+Each test enables the global registry, drives a real code path
 (matchmaking cycle, claim verification, ad store, simulator), and
-checks the counters and spans it should have produced.
+checks the counters it should have produced.
 """
 
 import pytest
@@ -15,7 +15,7 @@ from repro.protocols import AdStore, TicketAuthority, verify_claim
 
 @pytest.fixture(autouse=True)
 def obs_enabled():
-    obs.enable(trace=True)
+    obs.enable()
     obs.reset()
     yield
     obs.disable()
@@ -73,16 +73,6 @@ class TestMatchmakerInstrumentation:
         cycle_stats = obs.metrics.get("matchmaker.cycle_seconds").stats()
         assert cycle_stats is not None and cycle_stats.count == 1
 
-    def test_cycle_emits_span_tree(self):
-        providers = [machine(f"m{i}") for i in range(2)]
-        negotiation_cycle({"alice": [job("alice")]}, providers)
-
-        (cycle,) = obs.tracer.of_name("negotiation_cycle")
-        submitters = obs.tracer.of_name("submitter")
-        assert submitters and all(s.parent == cycle.index for s in submitters)
-        matches = obs.tracer.of_name("try_match")
-        assert matches and matches[0].fields.get("matched") is True
-
     def test_index_hits_counted(self):
         providers = [machine(f"m{i}", arch="SPARC" if i % 2 else "INTEL") for i in range(6)]
         index = ProviderIndex(providers)
@@ -105,9 +95,7 @@ class TestClaimInstrumentation:
         verdicts = obs.metrics.get("claims.verified")
         assert verdicts.value(verdict="accepted") == 1
         assert verdicts.total == 2
-        spans = obs.tracer.of_name("claim")
-        assert len(spans) == 2
-        assert spans[0].fields["verdict"] == "accepted"
+        assert verdicts.value(verdict="bad-ticket") == 1
 
 
 class TestAdStoreInstrumentation:
@@ -139,9 +127,19 @@ class TestSimInstrumentation:
 
 class TestDisabledIsInert:
     def test_nothing_recorded_when_disabled(self):
+        from repro.condor import CondorPool, Job, MachineSpec, PoolConfig
+
+        obs.enable(events=True, causal=True, timeseries=True)
         obs.disable()
         obs.reset()
         providers = [machine("m0")]
         negotiation_cycle({"alice": [job("alice")]}, providers)
+        authority = TicketAuthority("mm", b"secret")
+        assert verify_claim(job("alice"), providers[0], authority.mint(), authority).accepted
+        pool = CondorPool([MachineSpec(name="m0")], PoolConfig(seed=7))
+        pool.submit(Job(owner="alice", total_work=100.0))
+        pool.run_until(1_000.0)
+        assert pool.schedds["alice"].metrics.jobs_completed == 1
         assert obs.metrics.totals() == {}
-        assert len(obs.tracer) == 0
+        for stream in (obs.event_log, obs.causal_log, obs.series):
+            assert len(stream) == 0
