@@ -164,27 +164,6 @@ def is_false(v: Any) -> bool:
     return v is False
 
 
-def value_type_name(v: Any) -> str:
-    """Human-readable classad type name of *v* (for error reasons)."""
-    if is_undefined(v):
-        return "undefined"
-    if is_error(v):
-        return "error"
-    if is_boolean(v):
-        return "boolean"
-    if is_integer(v):
-        return "integer"
-    if is_real(v):
-        return "real"
-    if is_string(v):
-        return "string"
-    if is_list(v):
-        return "list"
-    if is_classad(v):
-        return "classad"
-    return type(v).__name__
-
-
 def coerce_to_number(v: Any):
     """Return *v* as an int/float if it is numeric or Boolean, else None.
 

@@ -22,9 +22,11 @@ This module is that tool (the ancestor of HTCondor's
   many ads) — provider policy is as diagnosable as customer policy;
 * attribute a single failed (request, provider) pair to the side and
   first failing top-level conjunct that killed it
-  (:func:`attribute_failure`) — the negotiation event log calls this at
-  match time, so the offline analysis above is also captured live for
-  every rejection (see :mod:`repro.obs.events`).
+  (:func:`attribute_failure`) — the negotiation event log captures this
+  at match time, so the offline analysis above is also recorded live for
+  every rejection (see :mod:`repro.obs.events`).  The class engine knows
+  the failing side already and attributes it with :func:`_attribute_side`,
+  once per verdict it shares.
 """
 
 from __future__ import annotations
@@ -164,6 +166,19 @@ class FailureAttribution:
             text += f" (undefined: {', '.join(self.undefined_attrs)})"
         return text
 
+    def event_fields(self) -> Dict[str, object]:
+        """The fields every forensic event that carries this attribution
+        shares (``match.reject``, ``claim.verdict``)."""
+        fields: Dict[str, object] = {
+            "side": self.side,
+            "constraint": self.constraint,
+            "conjunct": self.conjunct,
+            "value": self.value,
+        }
+        if self.undefined_attrs:
+            fields["undefined"] = list(self.undefined_attrs)
+        return fields
+
 
 def _verdict(value) -> str:
     if is_undefined(value):
@@ -235,16 +250,8 @@ def _value_census(
     predicate: Predicate, pool: Sequence[ClassAd], limit: int = 6
 ) -> Optional[str]:
     """What values does the pool actually advertise for this attribute?"""
-    census: Counter = Counter()
-    missing = 0
-    for ad in pool:
-        value = ad.evaluate(predicate.attr)
-        if is_string(value):
-            census[value] += 1
-        elif is_number(value):
-            census[value] += 1
-        else:
-            missing += 1
+    census = pool_attribute_census(pool, [predicate.attr])[predicate.attr]
+    missing = census.pop("<undefined>", 0)
     if not census and not missing:
         return None
     parts = [

@@ -266,10 +266,6 @@ class ProviderIndex:
         self._dirty = True
         self._settle()
 
-    def mark_dirty(self) -> None:
-        """Flag the postings as untrusted; the next operation rebuilds."""
-        self._dirty = True
-
     @staticmethod
     def _concrete(ad: ClassAd, attr: str):
         value = ad.evaluate(attr)
@@ -436,9 +432,6 @@ class MaintainedIndex:
     def providers(self) -> List[ClassAd]:
         """Member ads in candidate (first-advertisement) order."""
         return self.index.providers
-
-    def is_member(self, name: str) -> bool:
-        return name in self._members
 
     def __len__(self) -> int:
         return len(self._members)

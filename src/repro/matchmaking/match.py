@@ -19,7 +19,7 @@ fails if the Constraint evaluates to undefined").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..classads import ClassAd, is_true, rank_value
 from ..obs import event_log as _events
@@ -111,14 +111,7 @@ def _emit_pair_reject(
     attribution = attribute_failure(customer, provider, policy)
     fields = {"reason": "constraint", "context": context}
     if attribution is not None:
-        fields.update(
-            side=attribution.side,
-            constraint=attribution.constraint,
-            conjunct=attribution.conjunct,
-            value=attribution.value,
-        )
-        if attribution.undefined_attrs:
-            fields["undefined"] = list(attribution.undefined_attrs)
+        fields.update(attribution.event_fields())
     job_id = customer.evaluate("JobId")
     name = provider.evaluate("Name")
     _events.emit(
@@ -127,6 +120,26 @@ def _emit_pair_reject(
         provider=name if isinstance(name, str) else None,
         **fields,
     )
+
+
+def _compatible(
+    customer: ClassAd, providers: Sequence[ClassAd], policy: MatchPolicy, context: str
+) -> Iterator[Match]:
+    """Every provider compatible with *customer*, ranked, in input order;
+    each rejected pair is logged under *context* while the event log is on."""
+    emit_events = _events.enabled
+    for index, provider in enumerate(providers):
+        if not constraints_satisfied(customer, provider, policy):
+            if emit_events:
+                _emit_pair_reject(customer, provider, policy, context)
+            continue
+        yield Match(
+            customer=customer,
+            provider=provider,
+            customer_rank=evaluate_rank(customer, provider, policy),
+            provider_rank=evaluate_rank(provider, customer, policy),
+            index=index,
+        )
 
 
 def rank_candidates(
@@ -139,24 +152,10 @@ def rank_candidates(
     Ordering: customer's Rank of the provider, then the provider's Rank
     of the customer (the paper's tie-break), then input order.
     """
-    emit_events = _events.enabled
-    matches = []
-    for index, provider in enumerate(providers):
-        if not constraints_satisfied(customer, provider, policy):
-            if emit_events:
-                _emit_pair_reject(customer, provider, policy, "rank_candidates")
-            continue
-        matches.append(
-            Match(
-                customer=customer,
-                provider=provider,
-                customer_rank=evaluate_rank(customer, provider, policy),
-                provider_rank=evaluate_rank(provider, customer, policy),
-                index=index,
-            )
-        )
-    matches.sort(key=lambda m: m.sort_key, reverse=True)
-    return matches
+    return sorted(
+        _compatible(customer, providers, policy, "rank_candidates"),
+        key=lambda m: m.sort_key, reverse=True,
+    )
 
 
 def best_match(
@@ -164,28 +163,12 @@ def best_match(
     providers: Sequence[ClassAd],
     policy: MatchPolicy = DEFAULT_POLICY,
 ) -> Optional[Match]:
-    """The single best compatible provider, or None.
-
-    Unlike :func:`rank_candidates` this is a single pass without sorting
-    — it is the negotiation-cycle hot path (experiment E6).
-    """
-    emit_events = _events.enabled
-    best: Optional[Match] = None
-    for index, provider in enumerate(providers):
-        if not constraints_satisfied(customer, provider, policy):
-            if emit_events:
-                _emit_pair_reject(customer, provider, policy, "best_match")
-            continue
-        candidate = Match(
-            customer=customer,
-            provider=provider,
-            customer_rank=evaluate_rank(customer, provider, policy),
-            provider_rank=evaluate_rank(provider, customer, policy),
-            index=index,
-        )
-        if best is None or candidate.sort_key > best.sort_key:
-            best = candidate
-    return best
+    """The single best compatible provider, or None: the first of
+    :func:`rank_candidates`, found in one pass without sorting."""
+    return max(
+        _compatible(customer, providers, policy, "best_match"),
+        key=lambda m: m.sort_key, default=None,
+    )
 
 
 def symmetric_match(a: ClassAd, b: ClassAd, policy: MatchPolicy = DEFAULT_POLICY) -> bool:

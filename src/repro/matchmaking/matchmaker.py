@@ -48,6 +48,11 @@ distinct Ranks.
 (the index's, or the whole pool), :func:`_score` settles a class against
 them, :func:`_commit` records an assignment and :func:`_replay`
 reproduces the oracle's per-member events from the class dispositions.
+While the event log is on, a constraint disposition names the verdict
+that decided it — the rejecting side, its self key and the view it
+rejected — and the replay attributes the rejection (which conjunct
+failed) once per cycle per such verdict and spelling of the Constraint,
+not once per pair.
 The oracle shares ``_scan`` and ``_commit`` and cannot reach the class
 table or the table of evaluations, which live apart in
 :class:`_ClassTable`.
@@ -65,7 +70,7 @@ from ..classads.ast import Literal
 from ..classads.compile import cache_hits_total as _compiled_cache_hits
 from ..obs import event_log as _events, metrics as _metrics
 from .accounting import Accountant
-from .diagnose import attribute_failure
+from .diagnose import FailureAttribution, _attribute_side, attribute_failure
 from .groups import _Shape, _self_keys, _view_key
 from .index import MaintainedIndex, ProviderIndex
 from .match import (
@@ -190,8 +195,9 @@ class _ClassState:
         self.cands = cands
         self.head = 0  # first candidate not yet known to be taken
         #: Per pool position: None for viable candidates, else the
-        #: reject reason replayed into the event log for each member.
-        #: Only built while the event log is enabled.
+        #: reject reason replayed into the event log for each member, with
+        #: what it reports (a constraint reject's side, self key and view,
+        #: a rank reject's ranks).  Only built while the event log is enabled.
         self.dispositions = dispositions
 
 
@@ -246,7 +252,7 @@ class _ClassTable:
     iterated: no outcome may depend on their order.
     """
 
-    __slots__ = ("observed", "classes", "ids", "groups", "rows", "verdicts")
+    __slots__ = ("observed", "classes", "ids", "groups", "rows", "verdicts", "attributions")
 
     def __init__(self):
         #: Request attributes some provider's Constraint/Rank can read;
@@ -264,6 +270,10 @@ class _ClassTable:
         #: id of the evaluating ad's Constraint or Rank self key -> {id of
         #: the other ad's view: the verdict, or the rank}
         self.verdicts: Dict[int, Dict[int, object]] = {}
+        #: (side, id of the rejecting Constraint's self key, id of the
+        #: view it rejected, id of that Constraint's expression) -> why;
+        #: filled only while the event log is on
+        self.attributions: Dict[Tuple[str, int, int, int], FailureAttribution] = {}
 
     def id_of(self, key) -> int:
         ids = self.ids
@@ -350,21 +360,33 @@ def _emit_reject(cycle: _Cycle, submitter: str, request: ClassAd, provider: Clas
 
 
 def _emit_constraint_reject(cycle: _Cycle, submitter: str, request: ClassAd,
-                            provider: ClassAd) -> None:
+                            provider: ClassAd,
+                            attribution: Optional[FailureAttribution] = None) -> None:
     """The Section 5 diagnosis, captured at match time: which side's
-    Constraint failed, and on which top-level conjunct."""
-    attribution = attribute_failure(request, provider, cycle.policy)
+    Constraint failed, and on which top-level conjunct — *attribution*,
+    or worked out for the pair when none is given."""
+    if attribution is None:
+        attribution = attribute_failure(request, provider, cycle.policy)
     fields: Dict[str, object] = {"reason": "constraint"}
     if attribution is not None:
-        fields.update(
-            side=attribution.side,
-            constraint=attribution.constraint,
-            conjunct=attribution.conjunct,
-            value=attribution.value,
-        )
-        if attribution.undefined_attrs:
-            fields["undefined"] = list(attribution.undefined_attrs)
+        fields.update(attribution.event_fields())
     _emit_reject(cycle, submitter, request, provider, **fields)
+
+
+def _attribution(table: _ClassTable, policy: MatchPolicy, side: str, key: int, view: int,
+                 ad: ClassAd, other: ClassAd) -> FailureAttribution:
+    """Why *ad*'s Constraint (self key *key*) rejected *other* (view
+    *view*): worked out once per cycle per key and view, like the verdict
+    it explains, and per pair where the view is opaque.  The Constraint's
+    own expression is keyed too: a self key equates ``Memory`` with
+    ``MEMORY``, and the conjunct is reported as its ad spells it."""
+    if view == _OPAQUE:
+        return _attribute_side(side, ad, other, policy)
+    memo = (side, key, view, id(ad.lookup(policy.constraint_of(ad))))
+    attribution = table.attributions.get(memo)
+    if attribution is None:
+        attribution = table.attributions[memo] = _attribute_side(side, ad, other, policy)
+    return attribution
 
 
 def _emit_unmatched(cycle: _Cycle, submitter: str, request: ClassAd, candidates: int) -> None:
@@ -402,7 +424,9 @@ def _score(cycle: _Cycle, table: _ClassTable, rep: ClassAd, pool: Sequence[Class
     ``table.verdicts`` — the representative's Constraint and Rank shared
     with every class of equal self key, a provider's with every provider
     of equal self key.  Where the other ad's view is opaque the pair is
-    evaluated as the oracle would, and nothing is recorded.
+    evaluated as the oracle would, and nothing is recorded.  While the
+    event log is on, a failed Constraint's disposition names the verdict,
+    which :func:`_replay` attributes the same way (:func:`_attribution`).
     """
     policy = cycle.policy
     allow_preemption = cycle.allow_preemption
@@ -444,19 +468,23 @@ def _score(cycle: _Cycle, table: _ClassTable, rep: ClassAd, pool: Sequence[Class
                 ok = rep_verdicts[constraint_view] = constraint_holds(rep, provider, policy)
             else:
                 request_saved += 1
-        if ok:
-            if rep_view == _OPAQUE:
-                ok = constraint_holds(provider, rep, policy)
-                opaque += 1
-            else:
-                ok = verdicts.get(rep_view)
-                if ok is None:
-                    ok = verdicts[rep_view] = constraint_holds(provider, rep, policy)
-                else:
-                    provider_saved += 1
         if not ok:
             if dispositions is not None:
-                dispositions[pid] = ("constraint",)
+                dispositions[pid] = ("constraint", "customer", rep_constraint, constraint_view)
+            continue
+        if rep_view == _OPAQUE:
+            ok = constraint_holds(provider, rep, policy)
+            opaque += 1
+        else:
+            ok = verdicts.get(rep_view)
+            if ok is None:
+                ok = verdicts[rep_view] = constraint_holds(provider, rep, policy)
+            else:
+                provider_saved += 1
+        if not ok:
+            if dispositions is not None:
+                dispositions[pid] = ("constraint", "provider", table.groups[id(provider)][0],
+                                     rep_view)
             continue
         if rep_view == _OPAQUE:
             provider_rank = evaluate_rank(provider, rep, policy)
@@ -515,10 +543,12 @@ def _commit(cycle: _Cycle, submitter: str, request: ClassAd, provider: ClassAd,
             )
 
 
-def _replay(cycle: _Cycle, submitter: str, request: ClassAd, state: _ClassState) -> None:
+def _replay(cycle: _Cycle, table: _ClassTable, submitter: str, request: ClassAd,
+            state: _ClassState) -> None:
     """Stage 3's forensic half: reproduce the oracle's event stream for
     one class member from the class dispositions plus the current
-    ``taken`` set (checked first, as the oracle does)."""
+    ``taken`` set (checked first, as the oracle does).  A constraint
+    reject is attributed from the verdict that decided it."""
     taken = cycle.taken
     dispositions = state.dispositions
     for pid, provider in enumerate(state.pool):
@@ -530,7 +560,11 @@ def _replay(cycle: _Cycle, submitter: str, request: ClassAd, state: _ClassState)
             continue
         reason = d[0]
         if reason == "constraint":
-            _emit_constraint_reject(cycle, submitter, request, provider)
+            _, side, key, view = d
+            ad, other = (request, provider) if side == "customer" else (provider, request)
+            _emit_constraint_reject(cycle, submitter, request, provider, _attribution(
+                table, cycle.policy, side, key, view, ad, other,
+            ))
         elif reason == "rank":
             _emit_reject(
                 cycle, submitter, request, provider,
@@ -635,7 +669,7 @@ def _batched_try_match(cycle: _Cycle, table: _ClassTable, submitter: str,
         head += 1
     state.head = head
     if cycle.emit_events:
-        _replay(cycle, submitter, request, state)
+        _replay(cycle, table, submitter, request, state)
     if head == len(cands):
         if cycle.emit_events:
             _emit_unmatched(cycle, submitter, request, len(state.pool))
@@ -808,8 +842,9 @@ class Matchmaker:
 
     The matchmaker holds only *advertisements* (soft state): entities
     re-advertise periodically and ads expire, so a restarted matchmaker
-    reconverges without recovery protocol (experiments E1/E2 exercise
-    this through the simulated collector, which wraps this class).
+    reconverges without recovery protocol.  The simulated collector
+    (:mod:`repro.condor.collector`) keeps its own ad store and index on
+    the same terms, and experiments E1/E2 exercise it there.
 
     No match state is retained: ``match`` and ``negotiate`` compute from
     the current ads and return; claiming is end-to-end between the

@@ -96,11 +96,7 @@ def verify_claim(
 
             attribution = attribute_failure(request_ad, current_resource_ad, policy)
             if attribution is not None:
-                fields.update(
-                    side=attribution.side,
-                    conjunct=attribution.conjunct,
-                    value=attribution.value,
-                )
+                fields.update(attribution.event_fields())
         _events.emit("claim.verdict", **fields)
     return ClaimDecision(verdict)
 

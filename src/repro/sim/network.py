@@ -8,7 +8,7 @@ behaviours deterministically:
 * each message is delivered after ``latency + U(0, jitter)`` seconds —
   jitter makes reordering possible;
 * each message is independently dropped with probability ``loss``;
-* messages to a crashed (deregistered or downed) node vanish, as UDP
+* messages to a crashed (downed or never registered) node vanish, as UDP
   datagrams to a dead host would;
 * an installed :class:`~repro.sim.chaos.ChaosController` is consulted
   on every send and may additionally drop the message (time-windowed
@@ -135,9 +135,6 @@ class Network:
         """Attach *handler* to *address* (replacing any previous one)."""
         self._handlers[address] = handler
         self._down.discard(address)
-
-    def deregister(self, address: str) -> None:
-        self._handlers.pop(address, None)
 
     def set_down(self, address: str, down: bool = True) -> None:
         """Crash (or revive) a node without losing its registration."""

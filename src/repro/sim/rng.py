@@ -58,8 +58,5 @@ class RngStream:
     def gauss(self, mu: float, sigma: float) -> float:
         return self._random.gauss(mu, sigma)
 
-    def lognormal(self, mu: float, sigma: float) -> float:
-        return self._random.lognormvariate(mu, sigma)
-
     def bernoulli(self, p: float) -> bool:
         return self._random.random() < p

@@ -9,6 +9,7 @@ indistinguishable from a fresh rebuild after any advertise/withdraw
 sequence.
 """
 
+import importlib
 from collections import Counter
 
 import pytest
@@ -23,6 +24,7 @@ from repro.matchmaking import (
     ProviderIndex,
     negotiation_cycle,
 )
+from repro.matchmaking import matchmaker as mm_module
 from repro.obs import event_log
 from repro.sim import RngStream
 
@@ -121,16 +123,10 @@ class TestBatchedEqualsNaive:
     def test_assignments_identical(
         self, machine_params, request_params, use_index, allow_preemption
     ):
+        """Assignments and the full event stream, constraint attributions
+        included."""
         providers, grouped = build(machine_params, request_params)
-        naive, _ = run_cycle(
-            providers, grouped, batch=False, use_index=use_index,
-            allow_preemption=allow_preemption,
-        )
-        batched, stats = run_cycle(
-            providers, grouped, batch=True, use_index=use_index,
-            allow_preemption=allow_preemption,
-        )
-        assert assignment_key(naive) == assignment_key(batched)
+        stats = assert_batched_equals_naive(providers, grouped, use_index, allow_preemption)
         total = sum(len(reqs) for reqs in grouped.values())
         assert stats.requests_considered == total
 
@@ -316,6 +312,45 @@ class TestEventStreamParity:
         assert end.fields["request_classes"] == 1
         # 5 repeat members × a 4-provider pool evaluated once
         assert end.fields["pairings_saved"] == 5 * len(providers)
+
+
+class TestAttributionPerVerdict:
+    """With the event log on, a constraint rejection is attributed once
+    per verdict key — (self key, view) — not once per pair."""
+
+    def test_one_attribution_per_verdict_key(self, monkeypatch):
+        machine_ad = view_machine("m", {"Memory": 64},
+                                  constraint='other.Type == "Job" && other.Owner != "bob"')
+        providers = [machine_ad.copy([("Name", f"m{i}")]) for i in range(50)]
+        too_big = view_request("alice", 0, "other.Memory >= 128")
+        refused = view_request("bob", 0, "other.Memory >= 32")
+        grouped = {
+            "alice": [too_big.copy([("JobId", i)]) for i in range(20)],  # customer side
+            "bob": [refused.copy([("JobId", 20 + i)]) for i in range(20)],  # provider side
+        }
+        naive = events_of(providers, grouped, False, use_index=False)[2]
+
+        made = []
+        for module in (mm_module, importlib.import_module("repro.matchmaking.diagnose")):
+            original = getattr(module, "_attribute_side", None)
+            if original is None:
+                continue
+
+            def counting(side, *args, _original=original):
+                made.append(side)
+                return _original(side, *args)
+
+            monkeypatch.setattr(module, "_attribute_side", counting)
+        batched = events_of(providers, grouped, True, use_index=False)[2]
+
+        assert made == ["customer", "provider"]
+        assert batched == naive
+        rejects = [dict(fields) for kind, fields in batched if kind == "match.reject"]
+        assert len(rejects) == 40 * 50
+        assert {(r["reason"], r["side"], r["conjunct"], r["value"]) for r in rejects} == {
+            ("constraint", "customer", "other.Memory >= 128", "false"),
+            ("constraint", "provider", 'other.Owner != "bob"', "false"),
+        }
 
 
 class TestQuotaRounding:
@@ -694,6 +729,17 @@ def _claimed_alike_but_for_current_rank():
     return providers, _jobs(["other.Memory >= 64"])
 
 
+def _constraint_spelled_two_ways():
+    # Names are case-insensitive, so each pair of spellings is one self key
+    # and one verdict; a rejection still reports the conjunct as its own
+    # ad spells it.
+    providers = [
+        view_machine(f"m{i}", {"Memory": 32}, constraint=text)
+        for i, text in enumerate(['other.Owner != "bob"', 'other.OWNER != "bob"'] * 2)
+    ]
+    return providers, _jobs(["other.Memory >= 64", "other.MEMORY >= 64", "other.Memory >= 16"])
+
+
 SELF_KEY_CASES = {
     "one-read-attribute-apart": _one_read_attribute_apart,
     "only-unread-attributes-differ": _only_unread_attributes_differ,
@@ -704,14 +750,13 @@ SELF_KEY_CASES = {
     "request-reads-the-provider-back": _request_reads_the_provider_back,
     "owner-state-constraint-false": _owner_state_constraint_false,
     "claimed-alike-but-for-current-rank": _claimed_alike_but_for_current_rank,
+    "constraint-spelled-two-ways": _constraint_spelled_two_ways,
 }
 
 
 def count_evaluations(monkeypatch):
     """Count the scorer's evaluations as ``(evaluating side, root)``; the
     scorer calls both entry points through its module's globals."""
-    from repro.matchmaking import matchmaker as mm_module
-
     made = Counter()
     for root, name in (("Constraint", "constraint_holds"), ("Rank", "evaluate_rank")):
         def counting(ad, other, policy, _root=root, _original=getattr(mm_module, name)):

@@ -73,6 +73,15 @@ class TestClauseAnalysis:
         assert report.clauses[0].satisfied == 0
         assert "<undefined>" in (report.clauses[0].suggestion or "")
 
+    def test_suggestion_counts_boolean_values(self):
+        """Regression: the hint counted only strings and numbers, so a
+        pool advertising HasGPU = true/false read as all undefined."""
+        gpu_pool = [machine(f"g{k}") for k in range(4)]
+        for k, ad in enumerate(gpu_pool):
+            ad["HasGPU"] = k % 2 == 0
+        report = diagnose(job('other.HasGPU == "yes"'), gpu_pool)
+        assert report.clauses[0].suggestion == "pool advertises hasgpu ∈ { True×2, False×2 }"
+
 
 class TestProviderSideRejections:
     def test_policy_rejections_counted_separately(self):

@@ -5,6 +5,7 @@ import pytest
 from repro.classads import ClassAd, RecordExpr
 from repro.classads import compile as compile_mod
 from repro.classads import evaluator
+from repro.obs import event_log
 from repro.protocols import (
     ClaimRequest,
     ClaimVerdict,
@@ -167,6 +168,26 @@ class TestVerifyClaim:
         busy.set_expr("Constraint", "false")
         decision = verify_claim(customer_ad(), busy, self.ticket, self.authority)
         assert decision.verdict is ClaimVerdict.CONSTRAINT_VIOLATED
+
+    def test_violation_event_carries_every_attribution_field(self):
+        """A claim-time violation is attributed like a match-time reject,
+        with the Constraint's name and the references that were undefined."""
+        wants_gpu = customer_ad()
+        wants_gpu.set_expr("Constraint", 'other.Type == "Machine" && other.GPUs >= 1')
+        event_log.reset()
+        event_log.enable()
+        try:
+            decision = verify_claim(wants_gpu, provider_ad(), self.ticket, self.authority)
+            (event,) = event_log.of_kind("claim.verdict")
+        finally:
+            event_log.disable()
+            event_log.reset()
+        assert decision.verdict is ClaimVerdict.CONSTRAINT_VIOLATED
+        assert event.fields == {
+            "verdict": "constraint-violated", "job": None, "owner": "raman",
+            "provider": "leonardo", "side": "customer", "constraint": "Constraint",
+            "conjunct": "other.GPUs >= 1", "value": "undefined", "undefined": ["other.GPUs"],
+        }
 
     def test_already_claimed_rejected_first(self):
         decision = verify_claim(
