@@ -60,7 +60,8 @@ def main():
     print("pool census (the 'hidden characteristics' of Section 5):")
     census = pool_attribute_census(pool, ["Arch", "OpSys", "Memory"])
     for attr, counts in census.items():
-        rendered = ", ".join(f"{v}×{c}" for v, c in counts.most_common())
+        # Keys are (type, value) pairs (``literal_key``).
+        rendered = ", ".join(f"{v}×{c}" for (_, v), c in counts.most_common())
         print(f"  {attr:<8}: {rendered}")
     print()
 

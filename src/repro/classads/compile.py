@@ -46,9 +46,9 @@ so the fallback cannot rot.
 
 from __future__ import annotations
 
+import os
 from typing import Callable, Dict, Optional
 
-from .._env import env_flag
 from ..obs import metrics as _metrics
 from . import evaluator as _interp
 from .ast import (
@@ -115,7 +115,8 @@ _MEMO_LIMIT = 4096
 _MISSING = object()
 
 
-_ENABLED = not env_flag("REPRO_NO_COMPILE")
+#: ``REPRO_NO_COMPILE`` is the only environment variable the package reads.
+_ENABLED = os.environ.get("REPRO_NO_COMPILE", "").strip().lower() not in ("1", "true", "yes", "on")
 
 
 def compilation_enabled() -> bool:

@@ -562,7 +562,7 @@ def cmd_chaos(args) -> int:
 
     from . import obs
     from .condor import CondorPool, Job, MachineSpec, PoolConfig
-    from .protocols import reset_message_ids, set_retries
+    from .protocols import reset_message_ids, retries_enabled, set_retries
     from .sim.chaos import chaos_profile
 
     plan = chaos_profile(args.profile, horizon=args.horizon)
@@ -576,6 +576,7 @@ def cmd_chaos(args) -> int:
     obs.reset()
     reset_message_ids()
     reset_cycle_ids()
+    retrying = retries_enabled()
     # Everything from here on changes process-wide state, so it all sits
     # under the ``finally`` that undoes it — an unwritable --trace path
     # must not leave the event log enabled with its sink open.
@@ -658,8 +659,7 @@ def cmd_chaos(args) -> int:
             print(f"series    : {args.series}")
         return 0 if done == len(jobs) else 1
     finally:
-        if args.no_retry:
-            set_retries(None)
+        set_retries(retrying)
         obs.event_log.close_file()
         obs.causal_log.close_file()
         obs.series.close_file()

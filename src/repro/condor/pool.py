@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 from ..matchmaking import Accountant
 from ..matchmaking.match import DEFAULT_POLICY, MatchPolicy
 from ..sim import Network, PoolMetrics, RngStream, Simulator, Trace, UtilizationTracker
-from ..sim.chaos import ChaosController, ChaosPlan, chaos_profile, plan_from_env
+from ..sim.chaos import ChaosController, ChaosPlan, chaos_profile
 from .collector import Collector
 from .jobs import Job
 from .machine import MachineAgent, MachineSpec, OwnerModel
@@ -43,10 +43,9 @@ class PoolConfig:
     with_session_key: bool = False
     priority_half_life: float = 3_600.0
     trace_enabled: bool = True
-    #: Fault injection: a :class:`~repro.sim.chaos.ChaosPlan`, a profile
-    #: name (``"lossy"``, ``"partition"``, ``"cm-crash"``), ``None`` to
-    #: consult the ``REPRO_CHAOS`` environment hook, or ``False`` to run
-    #: clean even when the env var is set.
+    #: Fault injection: a :class:`~repro.sim.chaos.ChaosPlan` or a profile
+    #: name (``"lossy"``, ``"partition"``, ``"cm-crash"``); ``None`` or
+    #: ``False`` runs clean.
     chaos: object = None
     chaos_horizon: float = 3_600.0
 
@@ -135,19 +134,14 @@ class CondorPool:
     def _arm_chaos(self, cfg: PoolConfig) -> None:
         """Resolve ``cfg.chaos`` to a plan and attach it to the network."""
         spec = cfg.chaos
-        if spec is False:
+        if spec is None or spec is False:
             return
-        plan: Optional[ChaosPlan]
         if isinstance(spec, ChaosPlan):
             plan = spec
         elif isinstance(spec, str):
             plan = chaos_profile(spec, horizon=cfg.chaos_horizon)
-        elif spec is None:
-            plan = plan_from_env(horizon=cfg.chaos_horizon)
         else:
             raise TypeError(f"unsupported chaos spec: {spec!r}")
-        if plan is None:
-            return
         hooks = {
             "cm": (
                 lambda: (self.collector.crash(), self.negotiator.crash()),

@@ -36,9 +36,16 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..classads import ClassAd, Expr, is_true, unparse
-from ..classads.ast import AttributeRef, walk
+from ..classads.ast import AttributeRef, Literal, walk
 from ..classads.evaluator import evaluate
-from ..classads.values import is_error, is_number, is_string, is_undefined
+from ..classads.values import (
+    UNDEFINED,
+    is_error,
+    is_number,
+    is_string,
+    is_undefined,
+    literal_key,
+)
 from .groups import Predicate, conjuncts, predicate_of
 from .match import DEFAULT_POLICY, MatchPolicy, constraint_holds
 
@@ -246,16 +253,23 @@ def attribute_failure(
     return None
 
 
+#: The census key of an ad that advertises no usable value.
+_UNDEFINED_KEY = literal_key(UNDEFINED)
+
+
 def _value_census(
     predicate: Predicate, pool: Sequence[ClassAd], limit: int = 6
 ) -> Optional[str]:
     """What values does the pool actually advertise for this attribute?"""
     census = pool_attribute_census(pool, [predicate.attr])[predicate.attr]
-    missing = census.pop("<undefined>", 0)
+    missing = census.pop(_UNDEFINED_KEY, 0)
     if not census and not missing:
         return None
+    # A key's type rebuilds its value (literal_key keeps a float zero as
+    # its repr), which is then written as the language writes it.
     parts = [
-        f"{value!r}×{count}" for value, count in census.most_common(limit)
+        f"{unparse(Literal(kind(value)))}×{count}"
+        for (kind, value), count in census.most_common(limit)
     ]
     if missing:
         parts.append(f"<undefined>×{missing}")
@@ -348,15 +362,19 @@ def pool_attribute_census(
     pool: Sequence[ClassAd], attrs: Sequence[str]
 ) -> Dict[str, Counter]:
     """Value distribution per attribute — "discovering hidden
-    characteristics of a pool" (Section 5)."""
+    characteristics of a pool" (Section 5).
+
+    Values are counted by :func:`~repro.classads.values.literal_key`, so
+    ``true``, ``1`` and ``1.0`` stay apart; an ad whose value is not a
+    string, number or Boolean counts under ``literal_key(UNDEFINED)``."""
     out: Dict[str, Counter] = {}
     for attr in attrs:
         census: Counter = Counter()
         for ad in pool:
             value = ad.evaluate(attr)
             if is_string(value) or is_number(value) or isinstance(value, bool):
-                census[value] += 1
+                census[literal_key(value)] += 1
             else:
-                census["<undefined>"] += 1
+                census[_UNDEFINED_KEY] += 1
         out[attr] = census
     return out

@@ -37,10 +37,9 @@ them on programmatically::
     print(obs.export.snapshot())  # or obs.export.write_json(path)
     obs.disable(); obs.reset()
 
-or from the environment before the process starts: ``REPRO_OBS=1``
-enables metrics, ``REPRO_OBS_EVENTS=1`` additionally enables the event log,
-``REPRO_OBS_CAUSAL=1`` the causal trace stream, and
-``REPRO_OBS_SERIES=1`` the pool time series.
+:func:`enable` is the only way on: no environment variable turns
+collection on, so a run's instruments are stated in the code that runs
+it.
 
 This package must stay import-cycle free: it is imported by the lowest
 layers (classads, sim), so it imports nothing from them.
@@ -48,7 +47,6 @@ layers (classads, sim), so it imports nothing from them.
 
 from __future__ import annotations
 
-from .._env import env_flag
 from . import export
 from .causal import (
     TRACE_SCHEMA,
@@ -68,16 +66,7 @@ from .timeseries import SERIES_SCHEMA, Sample, SeriesError, SeriesStore, series
 #: The process-wide metrics registry.  Modules register metrics against
 #: it at import time; the registry survives enable/disable/reset cycles
 #: so those references never go stale.
-metrics = MetricsRegistry(enabled=env_flag("REPRO_OBS"))
-
-if env_flag("REPRO_OBS_EVENTS"):
-    event_log.enable()
-
-if env_flag("REPRO_OBS_CAUSAL"):
-    causal_log.enable()
-
-if env_flag("REPRO_OBS_SERIES"):
-    series.enable()
+metrics = MetricsRegistry(enabled=False)
 
 
 def enable(

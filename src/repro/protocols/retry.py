@@ -21,7 +21,7 @@ Receivers de-duplicate (the other half of at-least-once): see the
 replay cache in :mod:`repro.condor.machine` and the match/notice
 de-duplication in :mod:`repro.condor.schedd`.
 
-``REPRO_NO_RETRY=1`` (or :func:`set_retries`\\ ``(False)``) is the
+:func:`set_retries`\\ ``(False)`` (``repro chaos --no-retry``) is the
 ablation kill-switch: every retransmission and lease-loss recovery in
 the codebase consults :func:`retries_enabled`, so a chaos run with the
 switch thrown demonstrates what the hardening buys (stranded work).
@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .._env import env_flag
 from ..obs import metrics as _metrics
 
 _RETRIES_SENT = _metrics.counter(
@@ -43,19 +42,19 @@ _RETRIES_EXHAUSTED = _metrics.counter(
 )
 
 
-_retries_enabled = not env_flag("REPRO_NO_RETRY")
+_retries_enabled = True
 
 
 def retries_enabled() -> bool:
     """Whether protocol retransmission/recovery is active (see
-    ``REPRO_NO_RETRY``)."""
+    :func:`set_retries`)."""
     return _retries_enabled
 
 
-def set_retries(enabled: Optional[bool]) -> None:
-    """Override the kill-switch; ``None`` re-reads the environment."""
+def set_retries(enabled: bool) -> None:
+    """Turn retries off (``False``, the ablation) or back on (``True``)."""
     global _retries_enabled
-    _retries_enabled = (not env_flag("REPRO_NO_RETRY")) if enabled is None else bool(enabled)
+    _retries_enabled = bool(enabled)
 
 
 @dataclass(frozen=True)

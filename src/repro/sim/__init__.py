@@ -17,7 +17,6 @@ from .chaos import (
     LossWindow,
     PartitionWindow,
     chaos_profile,
-    plan_from_env,
 )
 from .engine import EventHandle, PeriodicTask, Simulator
 from .metrics import PoolMetrics, RunningStats, UtilizationTracker
@@ -35,7 +34,6 @@ __all__ = [
     "LossWindow",
     "PartitionWindow",
     "chaos_profile",
-    "plan_from_env",
     "Network",
     "NetworkStats",
     "PeriodicTask",

@@ -28,14 +28,13 @@ All randomness comes from a stream forked off the plan's (or the
 harness's) seed, so a given plan replays identically and never perturbs
 the draws of other components.  Named fixed-seed profiles back the CI
 chaos matrix: ``lossy``, ``partition``, ``cm-crash`` (see
-:func:`chaos_profile`); ``REPRO_CHAOS=<profile>`` injects one into
-every :class:`~repro.condor.pool.CondorPool` via :func:`plan_from_env`.
+:func:`chaos_profile`).  A pool runs one only when its
+:class:`~repro.condor.pool.PoolConfig` names it (``chaos=``).
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
@@ -272,18 +271,3 @@ def chaos_profile(name: str, horizon: float = 3600.0) -> ChaosPlan:
             ),
         )
     raise ValueError(f"unknown chaos profile {name!r} (known: {', '.join(PROFILES)})")
-
-
-def plan_from_env(horizon: float = 3600.0) -> Optional[ChaosPlan]:
-    """The profile named by ``REPRO_CHAOS``, or None when unset.
-
-    ``REPRO_CHAOS=<profile>[:<seed>]`` optionally overrides the
-    profile's fixed seed."""
-    raw = os.environ.get("REPRO_CHAOS", "").strip()
-    if not raw:
-        return None
-    name, _, seed = raw.partition(":")
-    plan = chaos_profile(name, horizon=horizon)
-    if seed:
-        plan = replace(plan, seed=int(seed))
-    return plan

@@ -12,7 +12,6 @@ from repro.sim.chaos import (
     LossWindow,
     PartitionWindow,
     chaos_profile,
-    plan_from_env,
 )
 
 
@@ -171,21 +170,3 @@ class TestProfiles:
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError):
             chaos_profile("lossy", horizon=0.0)
-
-
-class TestEnvHook:
-    def test_unset_means_no_plan(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHAOS", raising=False)
-        assert plan_from_env() is None
-
-    def test_profile_name(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "lossy")
-        plan = plan_from_env(horizon=500.0)
-        assert plan.name == "lossy"
-        assert plan.seed == 101
-
-    def test_seed_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "partition:99")
-        plan = plan_from_env()
-        assert plan.name == "partition"
-        assert plan.seed == 99

@@ -1,5 +1,5 @@
 """Protocol hardening under a lying network: retransmission, duplicate
-suppression, claim leases, and the REPRO_NO_RETRY kill-switch.
+suppression, claim leases, and the ``set_retries`` kill-switch.
 
 These tests drive the agents directly (no chaos plan) to pin down each
 hardening mechanism in isolation; tests/chaos/test_chaos_pool.py then
@@ -28,7 +28,7 @@ def retries_on():
     """Guarantee the kill-switch state is restored after a test."""
     set_retries(True)
     yield
-    set_retries(None)
+    set_retries(True)
 
 
 class TestBackoffPolicy:
@@ -114,18 +114,8 @@ class TestRetransmitter:
             retx.send(ClaimRequest(sender="a", recipient="b", customer_ad=None, ticket=None, match_id=1))
             sim.run_until(100.0)
         finally:
-            set_retries(None)
+            set_retries(True)
         assert len(inbox) == 1
-
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_RETRY", "1")
-        set_retries(None)  # re-read the environment
-        try:
-            assert not retries_enabled()
-        finally:
-            monkeypatch.delenv("REPRO_NO_RETRY")
-            set_retries(None)
-        assert retries_enabled()
 
 
 def make_claimed_machine(claim_lease=120.0, match_id=77, total_work=100_000.0):
@@ -268,7 +258,7 @@ class TestLeaseProtocol:
             pool.sim.schedule_at(400.0, machine.restart)
             pool.sim.run_until(30_000.0)
         finally:
-            set_retries(None)
+            set_retries(True)
         assert not job.done
         assert job.state.name == "RUNNING"  # stranded, demonstrably
 

@@ -452,7 +452,7 @@ class TestRecoveryUnderLoss:
             assert job.state is JobState.IDLE
             assert job.restarts == 1
         finally:
-            set_retries(None)
+            set_retries(True)
 
     def test_lease_nack_recovers_job_immediately(self):
         from repro.condor.messages import LeaseAck
@@ -472,5 +472,5 @@ class TestRecoveryUnderLoss:
             sim.run_until(sim.now + 1.0)
             assert job.state is JobState.IDLE
         finally:
-            set_retries(None)
+            set_retries(True)
 

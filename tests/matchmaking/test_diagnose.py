@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.classads import ClassAd
+from repro.classads import UNDEFINED, ClassAd
+from repro.classads.values import literal_key
 from repro.matchmaking import diagnose, is_unsatisfiable, pool_attribute_census
 
 
@@ -80,7 +81,26 @@ class TestClauseAnalysis:
         for k, ad in enumerate(gpu_pool):
             ad["HasGPU"] = k % 2 == 0
         report = diagnose(job('other.HasGPU == "yes"'), gpu_pool)
-        assert report.clauses[0].suggestion == "pool advertises hasgpu ∈ { True×2, False×2 }"
+        assert report.clauses[0].suggestion == "pool advertises hasgpu ∈ { true×2, false×2 }"
+
+    def test_suggestion_keeps_distinct_literals_apart(self):
+        """Regression: the census keyed values by Python equality, so
+        true, 1 and 1.0 merged, and a string "<undefined>" counted as a
+        missing attribute."""
+        odd_pool = [machine(f"x{k}") for k in range(4)]
+        for ad, value in zip(odd_pool, (True, 1, 1.0, "<undefined>")):
+            ad["X"] = value
+        census = pool_attribute_census(odd_pool, ["X"])["X"]
+        assert census == {
+            literal_key(True): 1,
+            literal_key(1): 1,
+            literal_key(1.0): 1,
+            literal_key("<undefined>"): 1,
+        }
+        report = diagnose(job('other.X == "yes"'), odd_pool)
+        assert report.clauses[0].suggestion == (
+            'pool advertises x ∈ { true×1, 1×1, 1.0×1, "<undefined>"×1 }'
+        )
 
 
 class TestProviderSideRejections:
@@ -166,7 +186,7 @@ class TestRendering:
 class TestPoolCensus:
     def test_census(self):
         census = pool_attribute_census(pool(), ["Arch", "Memory", "GPUs"])
-        assert census["Arch"]["INTEL"] == 7
-        assert census["Arch"]["SPARC"] == 3
-        assert census["Memory"][64] == 6
-        assert census["GPUs"]["<undefined>"] == 10
+        assert census["Arch"][literal_key("INTEL")] == 7
+        assert census["Arch"][literal_key("SPARC")] == 3
+        assert census["Memory"][literal_key(64)] == 6
+        assert census["GPUs"][literal_key(UNDEFINED)] == 10
