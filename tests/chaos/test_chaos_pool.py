@@ -89,10 +89,26 @@ class TestDeterminism:
         assert pool_a.net.stats == pool_b.net.stats
         assert [(e.t, e.kind) for e in events_a] == [(e.t, e.kind) for e in events_b]
 
-    def test_only_the_config_arms_chaos(self, monkeypatch):
-        # Faults come from the config alone: neither an unset nor a False
-        # ``chaos`` injects any, whatever the environment holds.
+    def test_env_hook_drives_the_pool(self, monkeypatch):
+        # REPRO_CHAOS no longer arms a pool: with it set, an unset ``chaos``
+        # runs clean, and only the config's own profile injects faults.
         monkeypatch.setenv("REPRO_CHAOS", "lossy")
-        for config in (PoolConfig(seed=1), PoolConfig(seed=1, chaos=False)):
-            pool = CondorPool([MachineSpec(name="m0")], config=config)
-            assert pool.chaos is None
+        pool = CondorPool(
+            [MachineSpec(name="m0")],
+            config=PoolConfig(seed=1, chaos=None),
+        )
+        assert pool.chaos is None
+        pool = CondorPool(
+            [MachineSpec(name="m0")],
+            config=PoolConfig(seed=1, chaos="partition"),
+        )
+        assert pool.chaos is not None
+        assert pool.chaos.plan.name == "partition"
+
+    def test_chaos_false_suppresses_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHAOS", "lossy")
+        pool = CondorPool(
+            [MachineSpec(name="m0")],
+            config=PoolConfig(seed=1, chaos=False),
+        )
+        assert pool.chaos is None
